@@ -242,12 +242,14 @@ class MachineConfig:
     max_events: Optional[int] = None
 
     #: Event-calendar implementation: ``"heap"`` (the reference binary
-    #: heap) or ``"wheel"`` (the indexed event wheel, bit-identical but
-    #: faster; see ``repro.sim.wheel``).  Timing-neutral by construction
-    #: — the two backends fire the same events in the same order — so
-    #: the field is excluded from canonical result encoding and cache
-    #: fingerprints.  The default honours ``REPRO_ENGINE_BACKEND`` so CI
-    #: can run whole suites per backend without plumbing a flag.
+    #: heap; the default, and the faster backend on measured runs) or
+    #: ``"wheel"`` (the indexed event wheel, bit-identical but slower
+    #: on medium-scale runs; see ``repro.sim.wheel``).  Timing-neutral
+    #: by construction — the two backends fire the same events in the
+    #: same order — so the field is excluded from canonical result
+    #: encoding and cache fingerprints.  The default honours
+    #: ``REPRO_ENGINE_BACKEND`` so CI can run whole suites per backend
+    #: without plumbing a flag.
     engine_backend: str = field(
         default_factory=lambda: os.environ.get("REPRO_ENGINE_BACKEND", "heap")
     )

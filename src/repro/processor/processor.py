@@ -26,16 +26,22 @@ read/write/busy opcodes and their short-stall handling are inline.
 :class:`~repro.processor.accounting.TimeBreakdown`, so every external
 observer sees the same accounting as before.
 
-Continuation events schedule the bound ``_loop`` directly.  This is
-safe because at most one continuation is ever pending per processor:
-``_loop`` schedules one only as it returns, and a parked processor (the
-only state in which a grant schedules a continuation) has none pending
-by construction.
+``_loop`` is a generator, and a continuation event is the bound
+``__next__`` of its one live instance: each event resumes the suspended
+frame, whose locals already hold the stable state bound once in the
+prologue, so a resume re-derives only the clock, the run length, the
+trace and the "no ``read``/``write`` wrapper installed" gates.  This is
+safe because at most one continuation is ever pending per processor and
+none ever runs inside another: ``_loop`` schedules one only just before
+it yields, and a parked processor (the only state in which a grant
+schedules a continuation) has none pending by construction.  A
+finished processor stays suspended at its last ``yield`` and is never
+resumed.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, List, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, List, Optional
 
 from repro.coherence.protocol import AccessClass
 from repro.config import MachineConfig
@@ -59,7 +65,9 @@ if TYPE_CHECKING:  # avoid a circular import with repro.system
 _OP_BUSY = O.BUSY
 _OP_READ = O.READ
 _OP_WRITE = O.WRITE
+_READY = ContextState.READY
 _RUNNING = ContextState.RUNNING
+_BLOCKED = ContextState.BLOCKED
 _DONE = ContextState.DONE
 _SLOT_BUSY = BUCKET_SLOT[Bucket.BUSY]
 _SLOT_READ_STALL = BUCKET_SLOT[Bucket.READ_STALL]
@@ -98,7 +106,6 @@ class Processor:
         "_live_count",
         "_parked",
         "_loop_cb",
-        "_hot",
         "_switch_cycles",
         "_switch_threshold",
         "_multi",
@@ -151,13 +158,10 @@ class Processor:
         self._last_dispatched: Optional[int] = None
         self._live_count = 0
         self._parked = False
-        #: The continuation callback, bound once (see module docstring).
-        self._loop_cb = self._loop
-        #: Hot-loop state tuple, built by :meth:`_prime` on the first
-        #: continuation (i.e. after every observer had its chance to
-        #: install); one slot load + unpack per ``_loop`` entry instead
-        #: of a dozen attribute reads.
-        self._hot = None
+        #: The continuation callback: resumes the suspended ``_loop``
+        #: frame (see module docstring).  The generator's body first
+        #: runs at the first continuation event, not here.
+        self._loop_cb = self._loop().__next__
 
         self._switch_cycles = config.context_switch_cycles
         self._switch_threshold = config.switch_min_stall_cycles
@@ -205,21 +209,44 @@ class Processor:
     def _schedule_continue(self, at: int) -> None:
         self.engine.schedule(at, self._loop_cb)
 
-    def _prime(self) -> tuple:
-        """Build the hot-loop state tuple.
+    def _advance(self, cycles: int, slot: int) -> None:
+        if cycles:
+            if cycles < 0:
+                raise ValueError(f"negative time {cycles} for {BUCKET_LIST[slot]}")
+            self._bucket_cycles[slot] += cycles
+            self.time += cycles
+            if slot == _SLOT_BUSY:
+                self._current_run += cycles
 
-        Every entry is stable for the whole run: the aliased containers
-        (contexts, packed cycle counters, run lengths) are mutated in
-        place and never rebound, and the scalars come from the frozen
-        config.  The packed-probe block is live only when the fused
-        path's gates all pass (see ``memiface.read``); observers — the
-        sanitizer, the litmus recorder, the fault injector, traces —
-        all install before ``Machine.run`` starts the processors, and
-        the probe re-checks the wrapper dicts on every continuation.
+    # -- the execution loop ----------------------------------------------------
+
+    def _loop(self) -> Iterator[None]:
+        """The continuation: a generator resumed once per event.
+
+        The prologue runs once, at the first continuation (after every
+        observer had its chance to install): it binds the stable state —
+        aliased containers mutated in place and never rebound, and
+        scalars from the frozen config — into frame locals.  Each
+        resume then re-derives only what may change between events.
         """
+        engine = self.engine
         memiface = self.memiface
-        probe = None
-        wprobe = None
+        contexts = self.contexts
+        cycles = self._bucket_cycles
+        multi = self._multi
+        threshold = self._switch_threshold
+        run_lengths = self.run_lengths
+        fill_stall = self._fill_stall
+        loop_cb = self._loop_cb
+        # Packed-probe state.  The probes are live only when the fused
+        # path's gates all pass (see ``memiface.read``); observers — the
+        # sanitizer, the litmus recorder, the fault injector, traces —
+        # all install before ``Machine.run`` starts the processors.
+        probe_tags = wprobe_tags = None
+        misses = wb_lines = pdict = idict = None
+        pstates = pstats = reads = None
+        sstates = sstats = writes = pstats_all = None
+        line_bytes = pri_sets = lat_rph = sec_sets = lat_wos = 0
         if (
             self.trace is None
             and getattr(memiface, "_fuse", False)
@@ -227,15 +254,15 @@ class Processor:
             and memiface.protocol.trace is None
         ):
             finfo = memiface._finfo[self.node_id]
-            probe = (
-                finfo[0],
-                finfo[1],
-                finfo[2],
-                memiface._reads,
-                memiface._line_bytes,
-                memiface._pri_sets,
-                memiface._lat_rph,
-            )
+            probe_tags, pstates, pstats = finfo[0], finfo[1], finfo[2]
+            misses = memiface._misses
+            wb_lines = memiface._wb_lines
+            pdict = memiface._pdict
+            idict = memiface.__dict__
+            reads = memiface._reads
+            line_bytes = memiface._line_bytes
+            pri_sets = memiface._pri_sets
+            lat_rph = memiface._lat_rph
             if (
                 memiface.policy.write_stalls_processor
                 and memiface.protocol._write_hit_inline_ok
@@ -250,309 +277,246 @@ class Processor:
                 # test serves exactly that rule; MESI's E hit falls
                 # through to the memiface path) — a table that says
                 # otherwise must keep raising through the classic path.
-                wprobe = (
-                    finfo[3],
-                    finfo[4],
-                    finfo[5],
-                    memiface._writes,
-                    memiface.protocol.stats,
-                    memiface._sec_sets,
-                    memiface._lat_wos,
-                )
-        self._hot = (
-            self.engine,
-            memiface,
-            self.contexts,
-            self._bucket_cycles,
-            self._multi,
-            self._switch_threshold,
-            self.run_lengths,
-            probe,
-            wprobe,
-        )
-        return self._hot
-
-    def _advance(self, cycles: int, slot: int) -> None:
-        if cycles:
-            if cycles < 0:
-                raise ValueError(f"negative time {cycles} for {BUCKET_LIST[slot]}")
-            self._bucket_cycles[slot] += cycles
-            self.time += cycles
-            if slot == _SLOT_BUSY:
-                self._current_run += cycles
-
-    # -- the execution loop ----------------------------------------------------
-
-    def _loop(self) -> None:
-        # The clock (`time`) and current run length (`run`) live in
-        # locals; every call that can observe or mutate them goes
-        # through an explicit write-back/reload pair.  The stable state
-        # comes in one precomputed tuple (see _prime).
-        hot = self._hot
-        if hot is None:
-            hot = self._prime()
-        (
-            engine,
-            memiface,
-            contexts,
-            cycles,
-            multi,
-            threshold,
-            run_lengths,
-            probe,
-            wprobe,
-        ) = hot
-        trace = self.trace
-        # Inline primary-hit probe: the packed-cache read hit runs right
-        # here when the fused path is live — same gates as the fused
-        # probe in ``memiface.read`` (checked in _prime) plus a fresh
-        # "no wrapper installed" check per continuation, so the
-        # sanitizer, litmus recorder, and fault injector all re-route
-        # through the classic path.
-        if (
-            probe is not None
-            and "read" not in memiface._pdict
-            and "read" not in memiface.__dict__
-        ):
-            (
-                ptags,
-                pstates,
-                pstats,
-                reads,
-                line_bytes,
-                pri_sets,
-                lat_rph,
-            ) = probe
-        else:
-            ptags = None
-            pstates = pstats = reads = None
-            line_bytes = pri_sets = lat_rph = 0
-        if (
-            wprobe is not None
-            and ptags is not None
-            and "write" not in memiface._pdict
-            and "write" not in memiface.__dict__
-        ):
-            (
-                stags,
-                sstates,
-                sstats,
-                writes,
-                pstats_all,
-                sec_sets,
-                lat_wos,
-            ) = wprobe
-        else:
-            stags = None
-            sstates = sstats = writes = pstats_all = None
-            sec_sets = lat_wos = 0
-        time = self.time
-        run = self._current_run
-        ctx = contexts[self._active]
+                wprobe_tags, sstates, sstats = finfo[3], finfo[4], finfo[5]
+                writes = memiface._writes
+                pstats_all = memiface.protocol.stats
+                sec_sets = memiface._sec_sets
+                lat_wos = memiface._lat_wos
         while True:
-            if ctx.state is not _RUNNING:
-                self.time = time
-                self._current_run = run
-                ctx = self._ensure_running()
-                if ctx is None:
-                    return  # parked, rescheduled, or finished
-                time = self.time
-                run = self._current_run
-            if engine.next_time < time:
-                self.time = time
-                self._current_run = run
-                engine.schedule(time, self._loop_cb)
-                return
-            # Fresh attribute read each iteration: consume_fill_stalls
-            # rebinds the list, so a cached alias would go stale.
-            if memiface._fill_arrivals:
-                fills = memiface.consume_fill_stalls(time)
-                if fills:
-                    slot = _SLOT_NO_SWITCH if multi else _SLOT_PREFETCH
-                    charge = fills * self._fill_stall
-                    cycles[slot] += charge
-                    time += charge
-            try:
-                op = next(ctx.thread)
-            except StopIteration:
-                ctx.state = _DONE
-                self._live_count -= 1
-                if self._live_count == 0:
-                    self.finished = True
+            # One continuation per pass.  The clock (`time`) and current
+            # run length (`run`) live in locals; every call that can
+            # observe or mutate them goes through an explicit
+            # write-back/reload pair, and every exit from the inner loop
+            # writes them back before the frame yields.
+            trace = self.trace
+            # A fresh "no wrapper installed" check per continuation, so
+            # the sanitizer, litmus recorder, and fault injector all
+            # re-route through the classic path (``ptags``/``stags`` of
+            # None switch the inline probes off).
+            if (
+                probe_tags is not None
+                and "read" not in pdict
+                and "read" not in idict
+            ):
+                ptags = probe_tags
+            else:
+                ptags = None
+            if (
+                wprobe_tags is not None
+                and ptags is not None
+                and "write" not in pdict
+                and "write" not in idict
+            ):
+                stags = wprobe_tags
+            else:
+                stags = None
+            time = self.time
+            run = self._current_run
+            ctx = contexts[self._active]
+            while True:
+                if ctx.state is not _RUNNING:
                     self.time = time
                     self._current_run = run
-                    self.finish_time = time
-                    return
-                continue
-            ctx.ops_executed += 1
-            code = op[0]
-            if code == _OP_READ:
-                self.shared_reads += 1
-                addr = op[1]
-                if ptags is not None:
-                    # A tag match is a primary hit, served with the
-                    # identical counter bumps and latency as the fused
-                    # probe — provided *this line* has no in-flight
-                    # miss to combine with and no buffered store to
-                    # forward from (other lines' entries are
-                    # irrelevant to a hit).  Pending retire/queue
-                    # timestamps don't affect a hit, and their expiry
-                    # is observation-independent, so the sweep can
-                    # wait for the next classic-path access.
-                    line = addr - addr % line_bytes
-                    index = (line // line_bytes) % pri_sets
-                    if (
-                        ptags[index] == line
-                        and pstates[index]
-                        and line not in memiface._misses
-                        and line not in memiface._wb_lines
-                    ):
-                        pstats.hits += 1
-                        reads[_PRIMARY_HIT] = reads.get(_PRIMARY_HIT, 0) + 1
-                        ready = time + lat_rph
-                        cycles[_SLOT_BUSY] += 1
-                        time += 1
-                        run += 1
-                        if ready > time:
-                            stall = ready - time
-                            if stall >= threshold:
-                                run_lengths.append(run)
-                                run = 0
-                            if not multi:
-                                cycles[_SLOT_READ_STALL] += stall
-                                time = ready
-                            elif stall < threshold:
-                                cycles[_SLOT_NO_SWITCH] += stall
-                                time = ready
-                            else:
-                                self.time = time
-                                self._current_run = run
-                                ctx.block_until(ready, _READ_STALL, time)
-                                memiface.note_fill_arrival(ready)
-                        continue
-                if trace is not None:
-                    trace.begin_op(ctx.process_id, ctx.ops_executed - 1)
-                result = memiface.read(addr, time)
-                if result[2]:
-                    self.prefetch_partial_hits += 1
-                cycles[_SLOT_BUSY] += 1
-                time += 1
-                run += 1
-                ready = result[0]
-                if ready > time:
-                    stall = ready - time
-                    if stall >= threshold:
-                        # A long-latency operation ends the current run.
-                        run_lengths.append(run)
-                        run = 0
-                    if not multi:
-                        cycles[_SLOT_READ_STALL] += stall
-                        time = ready
-                    elif stall < threshold:
-                        cycles[_SLOT_NO_SWITCH] += stall
-                        time = ready
-                    else:
+                    ctx = self._ensure_running()
+                    if ctx is None:
+                        break  # parked (a grant resumes it) or finished
+                    time = self.time
+                    run = self._current_run
+                if engine.next_time < time:
+                    self.time = time
+                    self._current_run = run
+                    engine.schedule(time, loop_cb)
+                    break
+                # Fill lockout: one scalar compare against the earliest
+                # pending arrival; the call happens only once one is due.
+                if memiface._next_fill <= time:
+                    fills = memiface.consume_fill_stalls(time)
+                    slot = _SLOT_NO_SWITCH if multi else _SLOT_PREFETCH
+                    charge = fills * fill_stall
+                    cycles[slot] += charge
+                    time += charge
+                try:
+                    op = next(ctx.thread)
+                except StopIteration:
+                    ctx.state = _DONE
+                    self._live_count -= 1
+                    if self._live_count == 0:
+                        self.finished = True
                         self.time = time
                         self._current_run = run
-                        ctx.block_until(ready, _READ_STALL, time)
-                        # The returning fill will lock the processor out
-                        # of the primary cache while another context runs.
-                        memiface.note_fill_arrival(ready)
-            elif code == _OP_BUSY:
-                work = op[1]
-                if work:
-                    cycles[_SLOT_BUSY] += work
-                    time += work
-                    run += work
-            elif code == _OP_WRITE:
-                self.shared_writes += 1
-                addr = op[1]
-                if stags is not None:
-                    # Inline SC owned-write hit: a DIRTY secondary line
-                    # never leaves the node, so the write retires with
-                    # the identical counter bumps and latency as
-                    # ``_fused_write_hit`` — the expiry sweep is
-                    # observation-independent (see the read probe) and
-                    # ``memiface.write`` consults no pending state on
-                    # this path.
-                    line = addr - addr % line_bytes
-                    sindex = (line // line_bytes) % sec_sets
-                    if stags[sindex] == line and sstates[sindex] == 2:
-                        sstats.hits += 1
-                        pstats_all.writes_total += 1
-                        pstats_all.writes_line_present += 1
-                        pindex = (line // line_bytes) % pri_sets
-                        if ptags[pindex] == line and pstates[pindex]:
-                            pstates[pindex] = 1  # refresh write-through copy
-                        writes[_SECONDARY_HIT] = writes.get(_SECONDARY_HIT, 0) + 1
-                        ready = time + lat_wos
-                        cycles[_SLOT_BUSY] += 1
-                        time += 1
-                        run += 1
-                        if ready > time:
-                            stall = ready - time
-                            if stall >= threshold:
-                                run_lengths.append(run)
-                                run = 0
-                            if not multi:
-                                cycles[_SLOT_WRITE_STALL] += stall
-                                time = ready
-                            elif stall < threshold:
-                                cycles[_SLOT_NO_SWITCH] += stall
-                                time = ready
-                            else:
-                                self.time = time
-                                self._current_run = run
-                                ctx.block_until(ready, _WRITE_STALL, time)
-                        continue
-                if trace is not None:
-                    trace.begin_op(ctx.process_id, ctx.ops_executed - 1)
-                result = memiface.write(addr, time)
-                cycles[_SLOT_BUSY] += 1
-                time += 1
-                run += 1
-                ready = result[0]
-                if ready > time:
-                    stall = ready - time
-                    if stall >= threshold:
-                        run_lengths.append(run)
-                        run = 0
-                    if not multi:
-                        cycles[_SLOT_WRITE_STALL] += stall
-                        time = ready
-                    elif stall < threshold:
-                        cycles[_SLOT_NO_SWITCH] += stall
-                        time = ready
-                    else:
-                        self.time = time
-                        self._current_run = run
-                        ctx.block_until(ready, _WRITE_STALL, time)
-            else:
-                self.time = time
-                self._current_run = run
-                if code == O.PREFETCH:
-                    self._op_prefetch(op[1], op[2])
-                elif code == O.LOCK:
-                    self._op_lock(ctx, op[1])
-                elif code == O.UNLOCK:
-                    self._op_unlock(ctx, op[1])
-                elif code == O.FLAG_WAIT:
-                    self._op_flag_wait(ctx, op[1])
-                elif code == O.FLAG_SET:
-                    self._op_flag_set(ctx, op[1])
-                elif code == O.BARRIER:
-                    self._op_barrier(ctx, op[1], op[2])
+                        self.finish_time = time
+                        break
+                    continue
+                ctx.ops_executed += 1
+                code = op[0]
+                if code == _OP_READ:
+                    self.shared_reads += 1
+                    addr = op[1]
+                    if ptags is not None:
+                        # A tag match is a primary hit, served with the
+                        # identical counter bumps and latency as the fused
+                        # probe — provided *this line* has no in-flight
+                        # miss to combine with and no buffered store to
+                        # forward from (other lines' entries are
+                        # irrelevant to a hit).  Pending retire/queue
+                        # timestamps don't affect a hit, and their expiry
+                        # is observation-independent, so it can wait for
+                        # the next classic-path access.
+                        line = addr - addr % line_bytes
+                        index = (line // line_bytes) % pri_sets
+                        if (
+                            ptags[index] == line
+                            and pstates[index]
+                            and line not in misses
+                            and line not in wb_lines
+                        ):
+                            pstats.hits += 1
+                            reads[_PRIMARY_HIT] = reads.get(_PRIMARY_HIT, 0) + 1
+                            ready = time + lat_rph
+                            cycles[_SLOT_BUSY] += 1
+                            time += 1
+                            run += 1
+                            if ready > time:
+                                stall = ready - time
+                                if stall >= threshold:
+                                    run_lengths.append(run)
+                                    run = 0
+                                if not multi:
+                                    cycles[_SLOT_READ_STALL] += stall
+                                    time = ready
+                                elif stall < threshold:
+                                    cycles[_SLOT_NO_SWITCH] += stall
+                                    time = ready
+                                else:
+                                    self.time = time
+                                    self._current_run = run
+                                    ctx.block_until(ready, _READ_STALL, time)
+                                    memiface.note_fill_arrival(ready)
+                            continue
+                    if trace is not None:
+                        trace.begin_op(ctx.process_id, ctx.ops_executed - 1)
+                    result = memiface.read(addr, time)
+                    if result[2]:
+                        self.prefetch_partial_hits += 1
+                    cycles[_SLOT_BUSY] += 1
+                    time += 1
+                    run += 1
+                    ready = result[0]
+                    if ready > time:
+                        stall = ready - time
+                        if stall >= threshold:
+                            # A long-latency operation ends the current run.
+                            run_lengths.append(run)
+                            run = 0
+                        if not multi:
+                            cycles[_SLOT_READ_STALL] += stall
+                            time = ready
+                        elif stall < threshold:
+                            cycles[_SLOT_NO_SWITCH] += stall
+                            time = ready
+                        else:
+                            self.time = time
+                            self._current_run = run
+                            ctx.block_until(ready, _READ_STALL, time)
+                            # The returning fill will lock the processor out
+                            # of the primary cache while another context runs.
+                            memiface.note_fill_arrival(ready)
+                elif code == _OP_BUSY:
+                    work = op[1]
+                    if work:
+                        cycles[_SLOT_BUSY] += work
+                        time += work
+                        run += work
+                elif code == _OP_WRITE:
+                    self.shared_writes += 1
+                    addr = op[1]
+                    if stags is not None:
+                        # Inline SC owned-write hit: a DIRTY secondary line
+                        # never leaves the node, so the write retires with
+                        # the identical counter bumps and latency as
+                        # ``_fused_write_hit`` — expiry is
+                        # observation-independent (see the read probe) and
+                        # ``memiface.write`` consults no pending state on
+                        # this path.
+                        line = addr - addr % line_bytes
+                        sindex = (line // line_bytes) % sec_sets
+                        if stags[sindex] == line and sstates[sindex] == 2:
+                            sstats.hits += 1
+                            pstats_all.writes_total += 1
+                            pstats_all.writes_line_present += 1
+                            pindex = (line // line_bytes) % pri_sets
+                            if ptags[pindex] == line and pstates[pindex]:
+                                pstates[pindex] = 1  # refresh write-through copy
+                            writes[_SECONDARY_HIT] = writes.get(_SECONDARY_HIT, 0) + 1
+                            ready = time + lat_wos
+                            cycles[_SLOT_BUSY] += 1
+                            time += 1
+                            run += 1
+                            if ready > time:
+                                stall = ready - time
+                                if stall >= threshold:
+                                    run_lengths.append(run)
+                                    run = 0
+                                if not multi:
+                                    cycles[_SLOT_WRITE_STALL] += stall
+                                    time = ready
+                                elif stall < threshold:
+                                    cycles[_SLOT_NO_SWITCH] += stall
+                                    time = ready
+                                else:
+                                    self.time = time
+                                    self._current_run = run
+                                    ctx.block_until(ready, _WRITE_STALL, time)
+                            continue
+                    if trace is not None:
+                        trace.begin_op(ctx.process_id, ctx.ops_executed - 1)
+                    result = memiface.write(addr, time)
+                    cycles[_SLOT_BUSY] += 1
+                    time += 1
+                    run += 1
+                    ready = result[0]
+                    if ready > time:
+                        stall = ready - time
+                        if stall >= threshold:
+                            run_lengths.append(run)
+                            run = 0
+                        if not multi:
+                            cycles[_SLOT_WRITE_STALL] += stall
+                            time = ready
+                        elif stall < threshold:
+                            cycles[_SLOT_NO_SWITCH] += stall
+                            time = ready
+                        else:
+                            self.time = time
+                            self._current_run = run
+                            ctx.block_until(ready, _WRITE_STALL, time)
                 else:
-                    raise ValueError(f"unknown opcode {code}")
-                time = self.time
-                run = self._current_run
+                    self.time = time
+                    self._current_run = run
+                    if code == O.PREFETCH:
+                        self._op_prefetch(op[1], op[2])
+                    elif code == O.LOCK:
+                        self._op_lock(ctx, op[1])
+                    elif code == O.UNLOCK:
+                        self._op_unlock(ctx, op[1])
+                    elif code == O.FLAG_WAIT:
+                        self._op_flag_wait(ctx, op[1])
+                    elif code == O.FLAG_SET:
+                        self._op_flag_set(ctx, op[1])
+                    elif code == O.BARRIER:
+                        self._op_barrier(ctx, op[1], op[2])
+                    else:
+                        raise ValueError(f"unknown opcode {code}")
+                    time = self.time
+                    run = self._current_run
+            yield
 
     def _ensure_running(self) -> Optional[Context]:
         """Return a RUNNING context at self.time, idling/switching as
         needed; None if the processor parked, rescheduled, or finished."""
         while True:
             active = self.contexts[self._active]
-            if active.state == ContextState.RUNNING:
+            if active.state is _RUNNING:
                 return active
 
             chosen = self._pick_ready()
@@ -565,13 +529,13 @@ class Processor:
                     self.context_switches += 1
                 self._active = chosen.index
                 self._last_dispatched = chosen.index
-                chosen.state = ContextState.RUNNING
+                chosen.state = _RUNNING
                 return chosen
 
             # Nothing runnable now.  Find the earliest known wake time.
             wake = None
             for ctx in self.contexts:
-                if ctx.state == ContextState.BLOCKED:
+                if ctx.state is _BLOCKED:
                     if wake is None or ctx.ready_time < wake:
                         wake = ctx.ready_time
             if wake is None:
@@ -598,13 +562,14 @@ class Processor:
     def _pick_ready(self) -> Optional[Context]:
         """Round-robin scan for a runnable context, starting after the
         most recently dispatched one."""
-        n = len(self.contexts)
+        contexts = self.contexts
+        n = len(contexts)
         start = (self._active + 1) % n if self._last_dispatched is not None else 0
+        now = self.time
         for offset in range(n):
-            ctx = self.contexts[(start + offset) % n]
-            if ctx.state == ContextState.READY:
-                return ctx
-            if ctx.state == ContextState.BLOCKED and ctx.ready_time <= self.time:
+            ctx = contexts[(start + offset) % n]
+            state = ctx.state
+            if state is _READY or (state is _BLOCKED and ctx.ready_time <= now):
                 return ctx
         return None
 

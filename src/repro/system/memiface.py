@@ -17,10 +17,10 @@ buffer is bypassed entirely and the processor stalls to completion.
 
 from __future__ import annotations
 
-from functools import partial
-
 from collections import deque
-from typing import Deque, Dict, NamedTuple, Optional
+from functools import partial
+from heapq import heappop, heappush
+from typing import Deque, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.caches import MSHRTable, OutstandingMiss
 from repro.coherence import AccessClass, CoherenceProtocol
@@ -32,7 +32,7 @@ from repro.sim.engine import TIME_INFINITY, EventEngine
 _PRIMARY_HIT = AccessClass.PRIMARY_HIT
 _SECONDARY_HIT = AccessClass.SECONDARY_HIT
 
-#: Expiry watermark sentinel: nothing pending matures before this.
+#: Watermark sentinel: nothing pending matures before this.
 _NEVER = TIME_INFINITY
 
 
@@ -94,8 +94,11 @@ class NodeMemoryInterface:
         # Retire times of the last `max_outstanding` issued writes, for
         # the in-flight pipelining cap of the lockup-free cache.
         self._wb_inflight: Deque[int] = deque()
-        # Completion times (incl. invalidation acks) not yet reached.
-        self._wb_completions: list = []
+        # Latest completion time (incl. invalidation acks) of any
+        # buffered write: the release fence.  A running max suffices:
+        # ``max(now, latest)`` is the latest still-pending completion,
+        # or ``now`` when none is pending.
+        self._wb_last_complete = 0
         # Buffered lines for read forwarding: line -> retire time.
         self._wb_lines: Dict[int, int] = {}
 
@@ -103,9 +106,12 @@ class NodeMemoryInterface:
         self._pf_queue: Deque[int] = deque()
         self._pf_last_issue: Optional[int] = None
 
-        # Pending primary-cache fill arrivals that will lock the
-        # processor out for `prefetch_fill_stall` cycles each.
-        self._fill_arrivals: list = []
+        # Pending primary-cache fill arrivals (a min-heap) that will
+        # lock the processor out for `prefetch_fill_stall` cycles each;
+        # `_next_fill` is the heap's head, `_NEVER` when empty, so the
+        # processor tests one scalar instead of calling in.
+        self._fill_arrivals: List[int] = []
+        self._next_fill = _NEVER
 
         # Hot-path scalars and aliases.  The MSHR's dict is mutated in
         # place and never rebound, so aliasing it here is safe; the read
@@ -114,15 +120,18 @@ class NodeMemoryInterface:
         self._line_bytes = config.line_bytes
         self._bypass = bool(config.write_buffer_bypass and policy.reads_bypass_writes)
         self._cached = bool(config.caching_shared_data)
-        #: True whenever any of the expiry-swept collections (write
-        #: buffer, prefetch queue, MSHR) might be non-empty — one flag
-        #: probe on the hot path instead of five container checks.  Set
-        #: at every enqueue site, recomputed by ``_expire``.
-        self._busy = False
-        #: Earliest time any tracked entry matures.  While ``now`` is
-        #: before this watermark no entry can have expired, so the
-        #: sweep is skipped outright; every enqueue site lowers it,
-        #: ``_expire`` recomputes it from the survivors.
+        #: Min-heap of ``(time, line, buffered)``: one entry per MSHR
+        #: miss (``buffered`` False, keyed by ``complete_time``) and per
+        #: buffered write (True, keyed by its retire time).  A popped
+        #: entry is checked against the live table, so entries left
+        #: behind by an upgraded miss or a re-written line are dropped.
+        self._expiry: List[Tuple[int, int, bool]] = []
+        #: Earliest time any tracked entry matures: the earliest of the
+        #: heads of ``_expiry``, the write buffer and the prefetch queue
+        #: (each holds its earliest entry at its head).  While ``now`` is
+        #: before this watermark nothing has expired, so the hot path
+        #: skips ``_expire`` with one compare; every enqueue site lowers
+        #: it.
         self._next_expiry = _NEVER
         self._wb_depth = config.write_buffer_depth
         self._max_wb = config.max_outstanding_writes
@@ -174,64 +183,55 @@ class NodeMemoryInterface:
         self.demand_combined_with_prefetch = 0
         self.store_forwards = 0
 
-    # -- lazy expiry helpers ------------------------------------------------
+    # -- lazy expiry ------------------------------------------------------
 
     def _expire(self, now: int) -> None:
+        """Drop every entry that has matured by ``now``.
+
+        Each container is consumed from its time-ordered head, so each
+        entry is removed once, at O(1) (the deques) or O(log n) (the
+        expiry heap) cost.
+        """
         if now < self._next_expiry:
-            return  # nothing has matured since the last sweep
+            return  # nothing has matured since the last call
         wb = self._wb_retires
         while wb and wb[0] <= now:
             wb.popleft()
         pf = self._pf_queue
         while pf and pf[0] <= now:
             pf.popleft()
-        comps = self._wb_completions
-        if comps and min(comps) <= now:
-            comps = self._wb_completions = [t for t in comps if t > now]
-        lines = self._wb_lines
-        if lines:
-            dead = [line for line, t in lines.items() if t <= now]
-            for line in dead:
-                del lines[line]
-        misses = self._misses
-        if misses:
-            done = [line for line, m in misses.items() if m.complete_time <= now]
-            if done:
-                retire = self.mshr.retire
-                for line in done:
-                    retire(line)
-        self._busy = bool(
-            wb or pf or comps or lines or misses
-        )
-        # Watermark for the next sweep: the earliest maturity among the
-        # survivors (every container is small; the write buffer and
-        # prefetch queue are time-ordered, so their heads suffice).
-        horizon = _NEVER
+        heap = self._expiry
+        while heap and heap[0][0] <= now:
+            _, line, buffered = heappop(heap)
+            if buffered:
+                if self._wb_lines.get(line, _NEVER) <= now:
+                    del self._wb_lines[line]
+            else:
+                miss = self._misses.get(line)
+                if miss is not None and miss.complete_time <= now:
+                    self.mshr.retire(line)
+        horizon = heap[0][0] if heap else _NEVER
         if wb and wb[0] < horizon:
             horizon = wb[0]
         if pf and pf[0] < horizon:
             horizon = pf[0]
-        if comps:
-            earliest = min(comps)
-            if earliest < horizon:
-                horizon = earliest
-        if lines:
-            earliest = min(lines.values())
-            if earliest < horizon:
-                horizon = earliest
-        if misses:
-            for miss in misses.values():
-                if miss.complete_time < horizon:
-                    horizon = miss.complete_time
         self._next_expiry = horizon
+
+    def _track_miss(self, miss: OutstandingMiss) -> None:
+        """Register an in-flight miss and schedule its expiry."""
+        self.mshr.add(miss)
+        done = miss.complete_time
+        heappush(self._expiry, (done, miss.line, False))
+        if done < self._next_expiry:
+            self._next_expiry = done
 
     # -- reads ---------------------------------------------------------------
 
     def read(self, addr: int, now: int) -> ReadResult:
-        # Expiry only has work to do when something is actually pending;
-        # the flag keeps the dominant case (quiet interface, primary
-        # hit) free of the sweep entirely.
-        if self._busy:
+        # Expiry only has work to do once the watermark is crossed; the
+        # compare keeps the dominant case (nothing matured, primary hit)
+        # free of the call entirely.
+        if now >= self._next_expiry:
             self._expire(now)
         misses = self._misses
         line = addr - addr % self._line_bytes
@@ -317,19 +317,13 @@ class NodeMemoryInterface:
             outcome = proto._read_fill(node, line, now)
             self._stats.count_read(outcome.access_class)
             retire = outcome[0]
-            self.mshr.add(OutstandingMiss(line, False, now, retire, False))
-            self._busy = True
-            if retire < self._next_expiry:
-                self._next_expiry = retire
+            self._track_miss(OutstandingMiss(line, False, now, retire, False))
             return _MK_READ((retire, outcome[2], False))
         outcome = proto.read(self.node, addr, now)
         retire = outcome[0]
         access_class = outcome[2]
         if access_class is not _PRIMARY_HIT and access_class is not _SECONDARY_HIT:
-            self.mshr.add(OutstandingMiss(line, False, now, retire, False))
-            self._busy = True
-            if retire < self._next_expiry:
-                self._next_expiry = retire
+            self._track_miss(OutstandingMiss(line, False, now, retire, False))
         if self.trace is not None:
             self.trace.record_read(
                 self.node, addr, now, retire, source="memory",
@@ -340,7 +334,7 @@ class NodeMemoryInterface:
     # -- writes --------------------------------------------------------------
 
     def write(self, addr: int, now: int) -> WriteResult:
-        if self._busy:
+        if now >= self._next_expiry:
             self._expire(now)
         if not self._cached:
             return self._write_uncached(addr, now)
@@ -447,11 +441,14 @@ class NodeMemoryInterface:
         self._wb_retires.append(retire)
         self._wb_inflight.append(retire)
         complete = max(outcome_complete, retire)
-        if complete > now:
-            self._wb_completions.append(complete)
+        if complete > self._wb_last_complete:
+            self._wb_last_complete = complete
         line = addr - addr % self._line_bytes
+        # A re-written line keeps its entry alive until the later
+        # retire; the earlier heap entry finds it unexpired and is
+        # dropped.
         self._wb_lines[line] = retire
-        self._busy = True
+        heappush(self._expiry, (retire, line, True))
         if retire < self._next_expiry:
             self._next_expiry = retire
         if self.trace is not None:
@@ -467,18 +464,15 @@ class NodeMemoryInterface:
         complete, including invalidation acknowledgements (RC)."""
         if not self.policy.release_requires_completion:
             return now
-        self._expire(now)
-        horizon = now
-        if self._wb_completions:
-            horizon = max(horizon, max(self._wb_completions))
-        if self._wb_last_retire > horizon:
-            horizon = self._wb_last_retire
-        return horizon
+        # Completion is never before retire, so the latest completion
+        # also covers the FIFO's last retire.
+        return max(now, self._wb_last_complete)
 
     # -- prefetches -------------------------------------------------------------
 
     def prefetch(self, addr: int, exclusive: bool, now: int) -> PrefetchResult:
-        self._expire(now)
+        if now >= self._next_expiry:
+            self._expire(now)
         full_stall = 0
         if len(self._pf_queue) >= self.config.prefetch_buffer_depth:
             free_at = self._pf_queue.popleft()
@@ -495,17 +489,19 @@ class NodeMemoryInterface:
             return _MK_PREFETCH((full_stall, True))
 
         # The prefetch occupies a buffer slot until it issues; issues are
-        # serialized through the node bus.
+        # serialized through the node bus.  One that issues at once
+        # never occupies a slot any later call can see, so it is not
+        # queued (time is monotone per interface).
         gap = self.config.contention.bus_occupancy_header
         if self._pf_last_issue is None:
             issue = now
         else:
             issue = max(now, self._pf_last_issue + gap)
         self._pf_last_issue = issue
-        self._pf_queue.append(issue)
-        self._busy = True
-        if issue < self._next_expiry:
-            self._next_expiry = issue
+        if issue > now:
+            self._pf_queue.append(issue)
+            if issue < self._next_expiry:
+                self._next_expiry = issue
 
         outcome = self.protocol.prefetch(self.node, addr, exclusive, issue)
         if outcome is None:
@@ -515,8 +511,11 @@ class NodeMemoryInterface:
         self.prefetches_sent += 1
         if existing is not None:
             # Upgrade over an in-flight shared fetch: chain completion.
+            # The old entry's heap slot stays behind; ``_expire`` checks
+            # the live entry's own completion, so it never retires the
+            # new miss early.
             self.mshr.retire(line)
-        self.mshr.add(
+        self._track_miss(
             OutstandingMiss(
                 line=line,
                 exclusive=exclusive,
@@ -525,27 +524,30 @@ class NodeMemoryInterface:
                 is_prefetch=True,
             )
         )
-        if outcome.retire < self._next_expiry:
-            self._next_expiry = outcome.retire
         # The returning fill locks the processor out of the primary cache.
-        self._fill_arrivals.append(outcome.retire)
+        self.note_fill_arrival(outcome.retire)
         return _MK_PREFETCH((full_stall, False))
 
     # -- fill lockout -------------------------------------------------------------
 
     def note_fill_arrival(self, arrival: int) -> None:
         """Record a fill that will return while another context runs."""
-        self._fill_arrivals.append(arrival)
+        heappush(self._fill_arrivals, arrival)
+        if arrival < self._next_fill:
+            self._next_fill = arrival
 
     def consume_fill_stalls(self, now: int) -> int:
-        """Number of pending fills that have arrived by ``now``; each
-        locks the processor out of the primary cache for the fill time."""
-        if not self._fill_arrivals:
-            return 0
-        arrived = [t for t in self._fill_arrivals if t <= now]
-        if arrived:
-            self._fill_arrivals = [t for t in self._fill_arrivals if t > now]
-        return len(arrived)
+        """Number of pending fills that have arrived by ``now``, each
+        consumed once; each locks the processor out of the primary
+        cache for the fill time.  Callers on the hot path test
+        ``_next_fill <= now`` first."""
+        fills = self._fill_arrivals
+        arrived = 0
+        while fills and fills[0] <= now:
+            heappop(fills)
+            arrived += 1
+        self._next_fill = fills[0] if fills else _NEVER
+        return arrived
 
     # -- queries ------------------------------------------------------------------
 

@@ -5,6 +5,7 @@ from repro.caches import LineState
 from repro.coherence import AccessClass
 from repro.config import Consistency, ContentionConfig, dash_scaled_config
 from repro.consistency import policy_for
+from repro.sim.engine import TIME_INFINITY
 from repro.system import Machine
 
 
@@ -72,6 +73,46 @@ class TestRCWrites:
         iface.write(regions[0].addr(0), 0)
         assert iface.release_point(10_000) == 10_000
 
+    def test_release_point_is_latest_live_completion_after_partial_expiry(self):
+        machine, regions = make_machine(Consistency.RC)
+        addr = regions[0].addr(0)
+        machine.protocol.read(1, addr, 0)  # two remote sharers: the
+        machine.protocol.read(2, addr, 0)  # write completes on their acks
+        iface = machine.memifaces[0]
+        iface.write(addr, 10)
+        acked = iface.release_point(11)
+        iface.write(regions[0].addr(64), 11)  # local, no sharers
+        retires = list(iface._wb_retires)
+        assert len(retires) == 2 and retires[-1] < acked
+        # Both entries retire before the acks are in; an access past the
+        # retires expires them, and the fence still waits for the acks.
+        iface.read(regions[0].addr(1024), retires[-1] + 1)
+        assert iface.write_buffer_occupancy == 0
+        assert iface.release_point(retires[-1] + 1) == acked
+        assert iface.release_point(acked - 1) == acked
+        assert iface.release_point(acked + 5) == acked + 5
+
+    def test_rewritten_line_forwards_until_the_later_retire(self):
+        machine, regions = make_machine(Consistency.RC)
+        iface = machine.memifaces[0]
+        addr = regions[1].addr(0)
+        line = iface.protocol.line_of(addr)
+        iface.write(addr, 0)
+        first = iface._wb_lines[line]
+        iface.write(regions[2].addr(0), 1)  # a slower write in between
+        iface.write(addr, 2)  # re-buffer the line: retires after both
+        second = iface._wb_lines[line]
+        assert second > first
+        forwards = iface.store_forwards
+        for now in (first, second - 1):
+            result = iface.read(addr, now)
+            assert result.ready == now + machine.config.latency.read_primary_hit
+            forwards += 1
+            assert iface.store_forwards == forwards
+        iface.read(addr, second)
+        assert iface.store_forwards == forwards
+        assert line not in iface._wb_lines
+
     def test_sc_release_point_is_now(self):
         machine, regions = make_machine(Consistency.SC)
         assert machine.memifaces[0].release_point(55) == 55
@@ -133,6 +174,43 @@ class TestPrefetchPath:
         iface.prefetch(regions[1].addr(0), exclusive=False, now=0)
         assert iface.consume_fill_stalls(1000) == 1
         assert iface.consume_fill_stalls(1000) == 0
+
+    def test_out_of_order_fill_arrivals_consumed_partially_once_each(self):
+        machine, regions = make_machine(Consistency.RC)
+        iface = machine.memifaces[0]
+        for arrival in (300, 100, 200, 100):
+            iface.note_fill_arrival(arrival)
+        # The processor gates its call on the earliest pending arrival.
+        assert iface._next_fill == 100
+        assert iface.consume_fill_stalls(99) == 0
+        assert iface.consume_fill_stalls(150) == 2
+        assert iface.consume_fill_stalls(150) == 0
+        assert iface._next_fill == 200
+        assert iface.consume_fill_stalls(250) == 1
+        assert iface.consume_fill_stalls(10_000) == 1
+        assert iface.consume_fill_stalls(10_000) == 0
+        assert iface._next_fill == TIME_INFINITY  # nothing pending
+
+    def test_upgrade_prefetch_outlives_the_stale_shared_entry(self):
+        machine, regions = make_machine(Consistency.RC)
+        iface = machine.memifaces[0]
+        addr = regions[1].addr(0)
+        line = iface.protocol.line_of(addr)
+        shared = iface.read(addr, 0).ready
+        # An exclusive prefetch over the in-flight shared fetch replaces
+        # its MSHR entry with one that completes later.
+        assert not iface.prefetch(addr, exclusive=True, now=40).discarded
+        upgrade = iface.mshr.lookup(line).complete_time
+        assert upgrade > shared
+        # Crossing the old entry's completion must not retire the new
+        # miss: demand reads keep combining until the upgrade lands.
+        for now in (shared, shared + 1, upgrade - 1):
+            result = iface.read(addr, now)
+            assert result.combined_with_prefetch
+            assert result.ready == upgrade
+            assert iface.mshr.lookup(line).complete_time == upgrade
+        assert not iface.read(addr, upgrade).combined_with_prefetch
+        assert iface.mshr.lookup(line) is None
 
 
 class TestMSHRCombining:

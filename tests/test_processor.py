@@ -236,3 +236,100 @@ class TestTermination:
 
         with pytest.raises(ValueError):
             run_threads([body])
+
+
+class TestContinuation:
+    """The processor resumes one suspended ``_loop`` frame per event."""
+
+    @staticmethod
+    def _holder(world, env):
+        lock = world["shared"].addr(0)
+        yield (O.LOCK, lock)
+        yield (O.READ, world["regions"][0].addr(0))
+        yield (O.BUSY, 300)
+        yield (O.WRITE, world["regions"][0].addr(64))
+        yield (O.UNLOCK, lock)
+        yield (O.BUSY, 7)
+
+    @staticmethod
+    def _waiter(world, env):
+        lock = world["shared"].addr(0)
+        yield (O.BUSY, 20)
+        # Contended: every context of this processor waits for the
+        # grant, so the processor parks until the grant resumes it.
+        yield (O.LOCK, lock)
+        yield (O.READ, world["regions"][0].addr(64))
+        yield (O.BUSY, 11)
+        yield (O.UNLOCK, lock)
+        yield (O.READ, world["regions"][1].addr(128))
+
+    @staticmethod
+    def _cycles(processor):
+        return {b.name: c for b, c in processor.breakdown.cycles.items() if c}
+
+    def test_parked_processor_resumes_on_grant_and_finishes(self):
+        machine, result = run_threads([self._holder, self._waiter])
+        holder, waiter = machine.processors
+        assert all(p.finished for p in machine.processors)
+        assert self._cycles(holder) == {
+            "BUSY": 311, "READ_STALL": 25, "WRITE_STALL": 17, "SYNC_STALL": 26,
+        }
+        assert self._cycles(waiter) == {
+            "BUSY": 35, "READ_STALL": 96, "SYNC_STALL": 398,
+        }
+        assert (holder.finish_time, waiter.finish_time) == (379, 529)
+        assert result.execution_time == 529
+
+    def test_parked_multi_context_processor_resumes_on_grant(self):
+        machine, result = run_threads(
+            [self._holder, self._waiter],
+            contexts_per_processor=2,
+            context_switch_cycles=4,
+        )
+        holder, waiter = machine.processors
+        assert self._cycles(holder) == {
+            "BUSY": 622, "SWITCH": 12, "ALL_IDLE": 81, "NO_SWITCH": 7,
+        }
+        assert self._cycles(waiter) == {
+            "BUSY": 70, "SWITCH": 12, "ALL_IDLE": 827, "NO_SWITCH": 10,
+        }
+        assert (holder.context_switches, waiter.context_switches) == (3, 3)
+        assert result.execution_time == 919
+
+    def test_read_wrapper_installed_before_run_reroutes_every_read(self):
+        def body(world, env):
+            base = world["regions"][env.process_id].addr(0)
+            for i in range(50):
+                # Mostly primary hits: the processor's inline probe
+                # would serve them without calling protocol.read.
+                yield (O.READ, base + (i % 4) * 16)
+                yield (O.BUSY, 3)
+
+        def build():
+            config = dash_scaled_config(
+                num_processors=2, contention=ContentionConfig(enabled=False)
+            )
+            machine = Machine(config)
+            machine.load(Program("reads", lambda allocator, n: {
+                "regions": [
+                    allocator.alloc_local(f"r{i}", 8192, i) for i in range(n)
+                ],
+            }, body))
+            return machine
+
+        plain = build().run()
+        machine = build()
+        calls = []
+        original = machine.protocol.read
+
+        def counting_read(node, addr, now):
+            calls.append(node)
+            return original(node, addr, now)
+
+        machine.protocol.read = counting_read
+        result = machine.run()
+        reads = sum(p.shared_reads for p in machine.processors)
+        assert reads == 100
+        assert len(calls) == reads
+        assert result.execution_time == plain.execution_time
+        assert result.per_processor == plain.per_processor
