@@ -694,15 +694,16 @@ class ProtocolModel:
                     new,
                 )
             # Write-back: memory refreshed, entry updated per the rule
-            # (Directory.writeback; MESI's E write-back carries clean
-            # data, MOESI's owner eviction finally refreshes memory).
+            # (the runtime's write-back eviction plan; MESI's E
+            # write-back carries clean data, MOESI's owner eviction
+            # finally refreshes memory).
             new = self._set_memory(new, line, cl.value)
             new = self._set_dir(
                 new, line,
                 self._final_dir(rule.next_dir_state, sharers, owner),
             )
             return (f"c{cache}: evict line{line} writeback v{cl.value}", new)
-        # Clean replacement hint (Directory.drop_sharer).
+        # Clean replacement hint (the runtime's drop-sharer plan).
         new = self._set_dir(
             new, line, self._final_dir(rule.next_dir_state, sharers, owner)
         )

@@ -155,55 +155,19 @@ class Directory:
     def known_lines(self):
         return list(self._entries)
 
-    def drop_sharer(self, line: int, node: int) -> None:
-        """Replacement hint: ``node`` evicted its clean copy of ``line``."""
+    def release(self, line: int, node: int, next_state: DirState) -> None:
+        """``node`` dropped its copy of ``line``: the one directory
+        mutation of an eviction, for the replacement hint and the
+        write-back alike.
+
+        ``node`` leaves the sharer mask and the owner slot, and the
+        entry takes ``next_state`` — the eviction rule's declared next
+        directory state.  A line with no record, or one that another
+        node owns, is left alone: a stale notification changes nothing.
+        """
         entry = self._entries.get(line)
-        if entry is None:
+        if entry is None or entry.owner not in (None, node):
             return
         entry.mask &= ~(1 << node)
-        if entry.state == DirState.SHARED and not entry.mask:
-            entry.state = DirState.UNOWNED
-
-    def writeback(self, line: int, node: int) -> None:
-        """Owner ``node`` wrote the dirty line back and dropped it."""
-        entry = self._entries.get(line)
-        if entry is None:
-            return
-        if entry.state == DirState.DIRTY and entry.owner == node:
-            entry.state = DirState.UNOWNED
-            entry.owner = None
-            entry.mask = 0
-
-    def apply_eviction(self, rule, line: int, node: int) -> None:
-        """Apply an eviction rule's directory actions for ``node``
-        dropping its copy of ``line``.
-
-        The rule comes from the declarative transition table
-        (:data:`~repro.coherence.table.DIRECTORY_PROTOCOL_TABLE`);
-        protolint's conformance pass checks that the defensive updates
-        below land on exactly the rule's declared next directory state.
-        """
-        # Imported lazily (the table module imports DirState from us)
-        # and cached at module scope so steady-state evictions skip the
-        # import machinery.
-        actions = _EVICTION_ACTIONS
-        if actions is None:
-            from repro.coherence.table import Action
-
-            actions = (Action.WRITEBACK_MEMORY, Action.DROP_SHARER)
-            globals()["_EVICTION_ACTIONS"] = actions
-        writeback_memory, drop_sharer = actions
-
-        if writeback_memory in rule.action_set:
-            self.writeback(line, node)
-        elif drop_sharer in rule.action_set:
-            self.drop_sharer(line, node)
-        else:
-            raise SimulationError(
-                f"eviction rule {rule.name!r} names no directory action"
-            )
-
-
-#: Cached ``(Action.WRITEBACK_MEMORY, Action.DROP_SHARER)`` pair filled
-#: on the first eviction (set via ``globals()`` from ``apply_eviction``).
-_EVICTION_ACTIONS = None
+        entry.owner = None
+        entry.state = next_state

@@ -34,7 +34,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import partial
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional
 
 from repro.caches import DirectMappedCache, LineState
 from repro.caches.cache import _MEMBERS
@@ -270,6 +270,10 @@ class CoherenceProtocol:  # srclint: ok(missing-slots) — sanitizer/fault layer
                 ProtoEvent.EVICT_EXCLUSIVE,
             )
         }
+        #: Eviction plans, memoized per ``(victim state, directory
+        #: state, others)`` and filled through ``table.lookup`` on first
+        #: use (see :meth:`_eviction_plan`).
+        self._evict_plans = {}
         #: Precomputed unguarded dispatch over the table: read/write
         #: transitions resolve with one tuple-keyed dict probe; a miss
         #: falls back to ``table.lookup`` for the full error surface.
@@ -407,34 +411,69 @@ class CoherenceProtocol:  # srclint: ok(missing-slots) — sanitizer/fault layer
     ) -> None:
         victim = self.caches[node].secondary.insert(line, state)
         if victim is not None:
-            self._evict(node, victim, time)
+            self._evict(node, victim[0], int(victim[1]), time)
 
-    def _evict(self, node: int, victim: Tuple[int, LineState], time: int) -> None:
-        victim_line, victim_state = victim
+    def _eviction_plan(self, state: int, dir_state: DirState, others: bool):
+        """``(writes_back, next_dir_state)`` for replacing a line held in
+        raw cache ``state`` while its home entry is in ``dir_state``.
+
+        Resolved once per key through ``table.lookup``, so an impossible
+        or uncovered key raises the table's own
+        :class:`ProtocolTableError` every time it is reached (a failed
+        lookup memoizes nothing).  Only the clean-eviction rules are
+        guarded on other holders; the other eviction events look up
+        with ``others=None``, as their rule keys carry no sharer bit.
+        """
+        cache_state = _MEMBERS[state]
+        event = self._eviction_events[cache_state]
+        rule = self.table.lookup(
+            cache_state, dir_state, event,
+            others if event is ProtoEvent.EVICT_CLEAN else None,
+        )
+        writes_back = Action.WRITEBACK_MEMORY in rule.action_set
+        if not writes_back and Action.DROP_SHARER not in rule.action_set:
+            raise SimulationError(
+                f"eviction rule {rule.name!r} names no directory action"
+            )
+        plan = (writes_back, rule.next_dir_state)
+        self._evict_plans[(state, dir_state, others)] = plan
+        return plan
+
+    def _evict(self, node: int, line: int, state: int, time: int) -> None:
+        """``node`` replaces its secondary copy of ``line``, held in raw
+        cache ``state``: drop the primary copy, write back or send the
+        replacement hint, and move the home entry to the rule's next
+        state — one frame per eviction, plus the directory's single
+        mutator."""
         # Inclusion: dropping a secondary line drops any primary copy.
-        self.caches[node].primary.invalidate(victim_line)
-        home = self._home_of(victim_line)
-        entry = self.directories[home].entry(victim_line)
-        event = self._eviction_events[victim_state]
-        if event is ProtoEvent.EVICT_CLEAN:
-            others: Optional[bool] = bool(entry.mask & ~(1 << node))
+        fast = self._fast_info
+        if fast is not None:
+            info = fast[node]
+            pindex = (line // self._line_bytes) % self._pri_sets
+            if info[0][pindex] == line and info[1][pindex]:
+                info[1][pindex] = 0
+                info[2].invalidations_received += 1
         else:
-            # Dirty and clean-exclusive victims notify the home
-            # unconditionally; the rule key carries no sharer bit.
-            others = None
-        rule = self.table.lookup(victim_state, entry.state, event, others)
-        if Action.WRITEBACK_MEMORY in rule.action_set:
+            self.caches[node].primary.invalidate(line)
+        home = self._home_of(line)
+        entries = self._dir_maps[home]
+        entry = entries.get(line)
+        if entry is None:
+            entry = DirectoryEntry()
+            entries[line] = entry
+        others = bool(entry.mask & ~(1 << node))
+        plan = self._evict_plans.get((state, entry.state, others))
+        if plan is None:
+            plan = self._eviction_plan(state, entry.state, others)
+        if plan[0]:
             # Write the dirty line back to home memory (fire-and-forget:
             # the write-back buffer hides its latency from the evicting
             # access, but the bandwidth is charged).
-            self.net.charge_bus(node, time, data=True, background=True)
-            if home != node:
-                self.net.charge_hop(node, home, time, data=True, background=True)
-            self.net.charge_memory(home, time, background=True)
+            self.net.charge_writeback(node, home, time)
             self.stats.eviction_writebacks += 1
-        # The rule's directory actions (writeback release or replacement
-        # hint); the clean hint is modelled free.
-        self.directories[home].apply_eviction(rule, victim_line, node)
+        # The directory action, write-back release or replacement hint
+        # (the clean hint is modelled free).
+        self.directories[home].release(line, node, plan[1])
 
     # -- cached reads --------------------------------------------------------
 
@@ -610,7 +649,7 @@ class CoherenceProtocol:  # srclint: ok(missing-slots) — sanitizer/fault layer
             sstates[sidx] = rule.next_cache_state
             if old_state and old_tag != line:
                 info[5].evictions += 1
-                self._evict(node, (old_tag, _MEMBERS[old_state]), time)
+                self._evict(node, old_tag, old_state, time)
             pindex = word % self._pri_sets
             ptags = info[0]
             pstates = info[1]
@@ -828,8 +867,9 @@ class CoherenceProtocol:  # srclint: ok(missing-slots) — sanitizer/fault layer
                 else:
                     self.caches[sharer].secondary.invalidate(line)
                     self.caches[sharer].primary.invalidate(line)
-                net.charge_hop(home, sharer, time + delay, data=False, background=background)
-                net.charge_hop(sharer, node, time + delay, data=False, background=background)
+                net.charge_invalidation(
+                    home, sharer, node, time + delay, background=background
+                )
                 self.stats.invalidations_sent += 1
                 ack_time = (
                     lat.invalidation_ack_local
@@ -862,7 +902,7 @@ class CoherenceProtocol:  # srclint: ok(missing-slots) — sanitizer/fault layer
                 sstates[sidx] = rule.next_cache_state
                 if old_state and old_tag != line:
                     info[5].evictions += 1
-                    self._evict(node, (old_tag, _MEMBERS[old_state]), time)
+                    self._evict(node, old_tag, old_state, time)
         elif had_shared == LineState.INVALID:
             self._install_secondary(node, line, rule.next_cache_state, time)
         else:

@@ -83,13 +83,16 @@ _ENUMS: Dict[str, Type[enum.Enum]] = {
 #: Fields excluded from the canonical encoding, per dataclass: the
 #: ``world`` is arbitrary application object state (particle lists,
 #: circuit graphs), not a measurement, and is not required by any
-#: figure or table regenerator.  ``engine_backend`` selects between
-#: event-calendar implementations that are proven bit-identical (the
-#: differential battery in ``tests/test_engine_wheel.py`` and the
-#: backend-matrix golden tests), so results are shared across backends
-#: and the same golden digests must hold for both.
+#: figure or table regenerator.
 _SKIP_FIELDS = {
     "SimulationResult": {"world"},
+}
+
+#: Fields a dataclass no longer has, dropped when decoding so payloads
+#: and journals written by older versions still load.  The retired
+#: event-calendar switch ``engine_backend`` was never encoded, so no
+#: fingerprint depended on it.
+_RETIRED_FIELDS = {
     "MachineConfig": {"engine_backend"},
 }
 
@@ -132,8 +135,14 @@ def decode(value: Any) -> Any:
         if "__enum__" in value:
             return _ENUMS[value["__enum__"]](value["value"])
         if "__dataclass__" in value:
-            cls = _DATACLASSES[value["__dataclass__"]]
-            kwargs = {k: decode(v) for k, v in value["fields"].items()}
+            name = value["__dataclass__"]
+            retired = _RETIRED_FIELDS.get(name, ())
+            kwargs = {
+                k: decode(v)
+                for k, v in value["fields"].items()
+                if k not in retired
+            }
+            cls = _DATACLASSES[name]
             return cls(**kwargs)
         if "__dict__" in value:
             return {decode(k): decode(v) for k, v in value["__dict__"]}

@@ -511,6 +511,75 @@ class Interconnect:
         res._transactions += 1
         return start - time
 
+    def charge_writeback(self, node: int, home: int, time: int) -> None:
+        """Eviction write-back, fire-and-forget on the background chain:
+        bus(``node``, data), hop(node->home, data) when the home is
+        remote, and memory(``home``) — each requested at ``time`` (the
+        write-back buffer hides the latency, so no step waits for the
+        previous one)."""
+        if not self._enabled:
+            return
+        links = self.background
+        nl = links[node]
+        occ = self._bus_data
+        res = nl.bus
+        start = time if time > res._next_free else res._next_free
+        res._next_free = start + occ
+        res._busy_total += occ
+        res._transactions += 1
+        hl = links[home]
+        if home != node:
+            ld = self._link_data
+            res = nl.link_out
+            start = time if time > res._next_free else res._next_free
+            res._next_free = start + ld
+            res._busy_total += ld
+            res._transactions += 1
+            res = hl.link_in
+            start = start if start > res._next_free else res._next_free
+            res._next_free = start + ld
+            res._busy_total += ld
+            res._transactions += 1
+        occ = self._memory_occupancy
+        res = hl.memory
+        start = time if time > res._next_free else res._next_free
+        res._next_free = start + occ
+        res._busy_total += occ
+        res._transactions += 1
+
+    def charge_invalidation(
+        self, home: int, sharer: int, node: int, time: int,
+        background: bool = False,
+    ) -> None:
+        """One invalidated sharer: hop(home->sharer, hdr) carrying the
+        invalidation and hop(sharer->node, hdr) carrying the
+        acknowledgement, both requested at ``time`` (the requester
+        retires at ownership; acknowledgements trail)."""
+        if not self._enabled:
+            return
+        links = self.background if background else self.nodes
+        lh = self._link_header
+        res = links[home].link_out
+        start = time if time > res._next_free else res._next_free
+        res._next_free = start + lh
+        res._busy_total += lh
+        res._transactions += 1
+        res = links[sharer].link_in
+        start = start if start > res._next_free else res._next_free
+        res._next_free = start + lh
+        res._busy_total += lh
+        res._transactions += 1
+        res = links[sharer].link_out
+        start = time if time > res._next_free else res._next_free
+        res._next_free = start + lh
+        res._busy_total += lh
+        res._transactions += 1
+        res = links[node].link_in
+        start = start if start > res._next_free else res._next_free
+        res._next_free = start + lh
+        res._busy_total += lh
+        res._transactions += 1
+
     # -- fault-layer charges ------------------------------------------------
 
     def charge_nack(self, node: int, home: int, time: int) -> int:

@@ -32,15 +32,22 @@ frame, whose locals already hold the stable state bound once in the
 prologue, so a resume re-derives only the clock, the run length, the
 trace and the "no ``read``/``write`` wrapper installed" gates.  This is
 safe because at most one continuation is ever pending per processor and
-none ever runs inside another: ``_loop`` schedules one only just before
+none ever runs inside another: ``_loop`` queues one only just before
 it yields, and a parked processor (the only state in which a grant
 schedules a continuation) has none pending by construction.  A
 finished processor stays suspended at its last ``yield`` and is never
 resumed.
+
+When another event is due before the processor's clock, the loop
+re-queues its continuation with one ``heappush(queue, (time, next(seq),
+loop_cb))`` straight into the engine's heap and shared tie-break
+counter instead of calling ``engine.schedule``; the engine's module
+docstring gives the argument that the two are equivalent there.
 """
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import TYPE_CHECKING, Callable, Iterator, List, Optional
 
 from repro.coherence.protocol import AccessClass
@@ -230,6 +237,10 @@ class Processor:
         resume then re-derives only what may change between events.
         """
         engine = self.engine
+        # The calendar's heap and its shared tie-break counter: a
+        # continuation re-queues itself with one C-level push.
+        queue = engine._queue
+        seq = engine._seq
         memiface = self.memiface
         contexts = self.contexts
         cycles = self._bucket_cycles
@@ -325,7 +336,7 @@ class Processor:
                 if engine.next_time < time:
                     self.time = time
                     self._current_run = run
-                    engine.schedule(time, loop_cb)
+                    heappush(queue, (time, next(seq), loop_cb))
                     break
                 # Fill lockout: one scalar compare against the earliest
                 # pending arrival; the call happens only once one is due.

@@ -5,24 +5,29 @@ in integer processor clocks (pclocks; the paper uses 1 pclock = 30 ns).
 Events scheduled for the same time fire in FIFO order, which makes runs
 deterministic.
 
-The engine also exposes :meth:`EventEngine.peek_time`, which lets a
-processor model decide whether it may keep executing *inline* (no event
-round-trip) because no other event in the system can fire before the
-processor's own local time.  This is the key fast path: streams of cache
-hits cost zero heap operations.
+The engine also exposes :meth:`EventEngine.peek_time` (and the
+``next_time`` attribute behind it), which lets a processor model decide
+whether it may keep executing *inline* (no event round-trip) because no
+other event in the system can fire before the processor's own local
+time.  This is the key fast path: streams of cache hits cost zero heap
+operations.
 
-This heap implementation is the *reference* backend, the default, and
-the faster of the two on measured runs (medium-scale ``Machine.run``:
-LU 0.32 s vs 0.43 s on the wheel, MP3D 0.30 vs 0.35, PTHOR 0.32 vs
-0.37).  A drop-in indexed event wheel
-(:class:`repro.sim.wheel.WheelEventEngine`) provides the same API and
-bit-identical behaviour; select between them with :func:`create_engine`
-(driven by ``MachineConfig.engine_backend``).
+The calendar is a plain list of ``(time, seq, callback)`` entries kept
+as a heap, and ``seq`` comes from one shared :func:`itertools.count`.
+Both are public to exactly one other component: the processor's
+continuation re-queues itself with a C-level ``heappush(queue, (time,
+next(seq), callback))`` instead of a :meth:`EventEngine.schedule` call.
+That push is equivalent to ``schedule`` where the processor makes it:
+it happens only when ``next_time < time``, so ``next_time`` needs no
+update; the processor's clock is never behind ``now``, so the past-time
+check could not fire; and the tie order is the same because the
+sequence counter is shared (see DESIGN.md §14).
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 from typing import Callable, List, Optional, Tuple
 
 #: Sentinel returned by :meth:`EventEngine.peek_time` when the calendar is
@@ -34,9 +39,6 @@ TIME_INFINITY = 2**63
 
 #: Default event budget before a run is declared a livelock.
 DEFAULT_EVENT_LIMIT = 2_000_000_000
-
-#: Recognised event-calendar implementations (see :func:`create_engine`).
-ENGINE_BACKENDS = ("heap", "wheel")
 
 
 class SimulationError(RuntimeError):
@@ -59,7 +61,8 @@ class EventEngine:
     earliest pending event (``TIME_INFINITY`` when the calendar is
     empty) whenever user code runs — i.e. outside the engine's own
     internal bookkeeping.  Hot paths may read it directly instead of
-    calling :meth:`peek_time`.
+    calling :meth:`peek_time`.  ``now``, ``events_processed`` and
+    ``pending`` are likewise exact when read from inside a callback.
     """
 
     __slots__ = (
@@ -72,11 +75,13 @@ class EventEngine:
         "_heartbeat",
         "_heartbeat_every",
         "_next_heartbeat",
+        "_mark",
     )
 
     def __init__(self, event_limit: int = DEFAULT_EVENT_LIMIT) -> None:
         self._queue: List[Tuple[int, int, Callable[[], None]]] = []
-        self._seq = 0
+        #: Tie-break counter shared with the processor's inline re-queue.
+        self._seq = itertools.count()
         self._now = 0
         self.next_time = TIME_INFINITY
         self._events_processed = 0
@@ -84,6 +89,9 @@ class EventEngine:
         self._heartbeat: Optional[Callable[["EventEngine"], None]] = None
         self._heartbeat_every = 0
         self._next_heartbeat = TIME_INFINITY
+        #: Watermark: the first event count at which the run loop must
+        #: look at the limit or the heartbeat — one compare per event.
+        self._mark = event_limit + 1
 
     @property
     def now(self) -> int:
@@ -105,8 +113,7 @@ class EventEngine:
             raise SimulationError(
                 f"cannot schedule event at t={time} before now={self._now}"
             )
-        heapq.heappush(self._queue, (time, self._seq, callback))
-        self._seq += 1
+        heapq.heappush(self._queue, (time, next(self._seq), callback))
         if time < self.next_time:
             self.next_time = time
 
@@ -145,71 +152,52 @@ class EventEngine:
         else:
             self._heartbeat_every = every
             self._next_heartbeat = self._events_processed + every
+        self._reset_mark()
 
-    def _fire_heartbeat(self) -> None:
+    def _reset_mark(self) -> None:
+        self._mark = min(self._limit + 1, self._next_heartbeat)
+
+    def _at_mark(self, time: int) -> None:
+        """The event count reached the watermark: raise past the limit,
+        else fire the heartbeat (which may itself raise)."""
+        if self._events_processed > self._limit:
+            raise SimulationError(
+                f"event limit {self._limit} exceeded at t={time} with "
+                f"{len(self._queue)} events pending; likely a livelock in "
+                "the simulated program"
+            )
         self._next_heartbeat = self._events_processed + self._heartbeat_every
+        self._reset_mark()
         self._heartbeat(self)  # type: ignore[misc]
-
-    def _limit_error(self, time: int) -> SimulationError:
-        return SimulationError(
-            f"event limit {self._limit} exceeded at t={time} with "
-            f"{len(self._queue)} events pending; likely a livelock in "
-            "the simulated program"
-        )
 
     def run(self) -> int:
         """Fire events until the calendar drains; return the final time."""
         queue = self._queue
+        pop = heapq.heappop
         while queue:
-            time, _seq, callback = heapq.heappop(queue)
+            time, _seq, callback = pop(queue)
             self._now = time
-            if queue:
-                self.next_time = queue[0][0]
-            else:
-                self.next_time = TIME_INFINITY
-            self._events_processed += 1
-            if self._events_processed > self._limit:
-                raise self._limit_error(time)
-            if self._events_processed >= self._next_heartbeat:
-                self._fire_heartbeat()
+            self.next_time = queue[0][0] if queue else TIME_INFINITY
+            count = self._events_processed + 1
+            self._events_processed = count
+            if count >= self._mark:
+                self._at_mark(time)
             callback()
         return self._now
 
     def run_until(self, deadline: int) -> int:
         """Fire events with time <= ``deadline``; return the final time."""
         queue = self._queue
+        pop = heapq.heappop
         while queue and queue[0][0] <= deadline:
-            time, _seq, callback = heapq.heappop(queue)
+            time, _seq, callback = pop(queue)
             self._now = time
-            if queue:
-                self.next_time = queue[0][0]
-            else:
-                self.next_time = TIME_INFINITY
-            self._events_processed += 1
-            if self._events_processed > self._limit:
-                raise self._limit_error(time)
-            if self._events_processed >= self._next_heartbeat:
-                self._fire_heartbeat()
+            self.next_time = queue[0][0] if queue else TIME_INFINITY
+            count = self._events_processed + 1
+            self._events_processed = count
+            if count >= self._mark:
+                self._at_mark(time)
             callback()
         if self._now < deadline:
             self._now = deadline
         return self._now
-
-
-def create_engine(backend: str, event_limit: int = DEFAULT_EVENT_LIMIT):
-    """Build the event calendar named by ``backend``.
-
-    ``"heap"`` is the reference :class:`EventEngine`; ``"wheel"`` is the
-    indexed event wheel, proven bit-identical by the differential battery
-    in ``tests/test_engine_wheel.py``.
-    """
-    if backend == "heap":
-        return EventEngine(event_limit=event_limit)
-    if backend == "wheel":
-        # Imported lazily: wheel.py imports the error types from here.
-        from repro.sim.wheel import WheelEventEngine
-
-        return WheelEventEngine(event_limit=event_limit)
-    raise ValueError(
-        f"unknown engine backend {backend!r}; expected one of {ENGINE_BACKENDS}"
-    )

@@ -315,10 +315,18 @@ class NodeMemoryInterface:
                 return _MK_READ((now + self._lat_rfs, _SECONDARY_HIT, False))
             info[5].misses += 1
             outcome = proto._read_fill(node, line, now)
-            self._stats.count_read(outcome.access_class)
             retire = outcome[0]
-            self._track_miss(OutstandingMiss(line, False, now, retire, False))
-            return _MK_READ((retire, outcome[2], False))
+            access_class = outcome[2]
+            reads = self._reads
+            reads[access_class] = reads.get(access_class, 0) + 1
+            # ``_track_miss`` inlined.  Its duplicate-line guard is
+            # dropped on purpose: ``misses.get(line)`` was None at the
+            # top of this call, and a fill adds no MSHR entry.
+            misses[line] = OutstandingMiss(line, False, now, retire, False)
+            heappush(self._expiry, (retire, line, False))
+            if retire < self._next_expiry:
+                self._next_expiry = retire
+            return _MK_READ((retire, access_class, False))
         outcome = proto.read(self.node, addr, now)
         retire = outcome[0]
         access_class = outcome[2]

@@ -11,15 +11,21 @@ from repro.coherence import (
     DirState,
     NodeCaches,
 )
+from repro.coherence.specs import get_spec, spec_names
+from repro.coherence.table import Action, ProtocolTableError, ProtoEvent
 from repro.config import ContentionConfig, dash_scaled_config
 from repro.interconnect import Interconnect
 from repro.memlayout import SharedMemoryAllocator
 
 
-def make_protocol(num_nodes=4, contention=False, cache_bytes=(2048, 4096)):
+def make_protocol(
+    num_nodes=4, contention=False, cache_bytes=(2048, 4096),
+    protocol="directory-msi",
+):
     config = dash_scaled_config(
         num_processors=num_nodes,
         contention=ContentionConfig(enabled=contention),
+        protocol=protocol,
     )
     allocator = SharedMemoryAllocator(num_nodes, page_bytes=config.page_bytes)
     regions = [
@@ -183,6 +189,56 @@ class TestEvictions:
         protocol.read(0, addr_a, 0)
         protocol.read(0, addr_b, 10)
         assert protocol.caches[0].primary.probe(line_a) == LineState.INVALID
+
+
+RUNTIME_SPECS = [name for name in spec_names() if get_spec(name).runtime_supported]
+
+EVICTION_EVENTS = (
+    ProtoEvent.EVICT_CLEAN, ProtoEvent.EVICT_DIRTY, ProtoEvent.EVICT_EXCLUSIVE,
+)
+
+
+class TestEvictionPlans:
+    """``_evict`` resolves each rule from a memoized plan; every rule
+    must still land where the table says, and bad keys must still
+    raise the table's own error."""
+
+    @pytest.mark.parametrize("spec", RUNTIME_SPECS)
+    def test_every_eviction_rule_lands_on_its_next_state(self, spec):
+        protocol, regions = make_protocol(protocol=spec)
+        rules = [r for r in protocol.table.rules if r.event in EVICTION_EVENTS]
+        assert rules
+        node, other = 1, 2
+        for offset, rule in enumerate(rules * 2):  # second pass: memoized
+            line = protocol.line_of(regions[0].addr(64 * offset))
+            entry = protocol.directories[0].entry(line)
+            entry.state = rule.dir_state
+            if rule.dir_state == DirState.DIRTY:
+                entry.owner = node
+            else:
+                entry.mask = (1 << node) | ((1 << other) if rule.others_cached else 0)
+            before = protocol.stats.eviction_writebacks
+            protocol._evict(node, line, int(rule.cache_state), 10)
+            assert entry.state == rule.next_dir_state, rule.describe()
+            assert node not in entry.sharers and entry.owner != node
+            entry.check()
+            writes_back = Action.WRITEBACK_MEMORY in rule.action_set
+            assert protocol.stats.eviction_writebacks - before == writes_back
+        assert len(protocol._evict_plans) == len(rules)
+
+    def test_impossible_key_raises_the_table_error_every_time(self):
+        protocol, regions = make_protocol()
+        line = protocol.line_of(regions[0].addr(0))
+        protocol.write(2, regions[0].addr(0), 0)  # DIRTY at node 2
+        with pytest.raises(ProtocolTableError) as expected:
+            protocol.table.lookup(
+                LineState.SHARED, DirState.DIRTY, ProtoEvent.EVICT_CLEAN, False
+            )
+        for _ in range(2):
+            with pytest.raises(ProtocolTableError) as raised:
+                protocol._evict(1, line, int(LineState.SHARED), 10)
+            assert str(raised.value) == str(expected.value)
+        assert protocol._evict_plans == {}
 
 
 class TestPrefetch:

@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event engine."""
 
+import heapq
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -170,3 +172,122 @@ def test_heartbeat_rejects_nonpositive_interval():
     engine = EventEngine()
     with pytest.raises(ValueError):
         engine.set_heartbeat(lambda e: None, every=0)
+
+
+# -- contract corners (more in test_engine_wheel.py, against a reference) ----
+
+
+def snapshot(engine):
+    return (
+        engine.now,
+        engine.pending,
+        engine.events_processed,
+        engine.peek_time(),
+        engine.next_time,
+    )
+
+
+def test_state_is_exact_inside_callbacks():
+    """``now``, ``events_processed``, ``next_time`` and ``pending`` as
+    a callback sees them, including after it schedules more events."""
+    engine = EventEngine()
+    seen = []
+
+    def probe(tag):
+        def callback():
+            seen.append((tag, snapshot(engine)))
+            if tag == "a":
+                engine.schedule(4, lambda: seen.append(("c", snapshot(engine))))
+                seen.append(("a+", snapshot(engine)))
+
+        return callback
+
+    engine.schedule(3, probe("a"))
+    engine.schedule(7, probe("b"))
+    engine.run()
+    assert seen == [
+        ("a", (3, 1, 1, 7, 7)),
+        ("a+", (3, 2, 1, 4, 4)),
+        ("c", (4, 1, 2, 7, 7)),
+        ("b", (7, 0, 3, TIME_INFINITY, TIME_INFINITY)),
+    ]
+
+
+def test_heartbeat_cadence_survives_run_until_slices():
+    engine = EventEngine()
+    beats = []
+    engine.set_heartbeat(lambda e: beats.append(e.events_processed), every=3)
+    for t in range(10):
+        engine.schedule(t, lambda: None)
+    for deadline in (1, 4, 6, 20):
+        engine.run_until(deadline)
+    assert beats == [3, 6, 9]
+
+
+def test_event_limit_wins_over_a_coinciding_heartbeat():
+    # Heartbeats are due at 3 and 6; the limit trips at the 6th event.
+    engine = _rearming(event_limit=5)
+    beats = []
+    engine.set_heartbeat(lambda e: beats.append(e.events_processed), every=3)
+    with pytest.raises(SimulationError, match="event limit 5 exceeded"):
+        engine.run()
+    assert beats == [3]
+    assert engine.events_processed == 6
+
+
+def test_inline_requeue_and_scheduled_grant_fire_in_push_order():
+    """The processor re-queues its continuation with a raw push that
+    draws from the engine's shared counter; at one pclock it must tie
+    with ``schedule``d grants exactly as ``schedule`` alone would."""
+
+    def program(inline):
+        engine = EventEngine()
+        log = []
+
+        def requeue(tag):
+            callback = lambda: log.append(tag)  # noqa: E731
+            if inline:
+                # Precondition of the processor's push: an earlier event
+                # is pending, so ``next_time`` needs no update.
+                assert engine.next_time < 9
+                heapq.heappush(engine._queue, (9, next(engine._seq), callback))
+            else:
+                engine.schedule(9, callback)
+
+        def step():
+            engine.schedule(9, lambda: log.append("grant-before"))
+            requeue("continuation")
+            engine.schedule(9, lambda: log.append("grant-after"))
+
+        engine.schedule(5, step)
+        engine.schedule(6, lambda: log.append("other"))
+        engine.run()
+        return log, snapshot(engine)
+
+    inline = program(inline=True)
+    assert inline == program(inline=False)
+    assert inline[0] == ["other", "grant-before", "continuation", "grant-after"]
+
+
+def test_engine_times_stay_integral():
+    """No path may feed a float time into the calendar — neither
+    ``schedule`` nor the processor's inline push.  Every calendar entry
+    is inspected after each event of a real smoke run."""
+    from repro.config import dash_scaled_config
+    from repro.experiments.registry import SMOKE_PROCESSES, smoke_program
+    from repro.system import Machine
+
+    machine = Machine(dash_scaled_config(num_processors=SMOKE_PROCESSES))
+    machine.load(smoke_program("LU"))
+    seen = {"entries": 0}
+
+    def check(engine):
+        assert type(engine.now) is int and type(engine.next_time) is int
+        for time, _seq, _callback in engine._queue:
+            assert type(time) is int, f"non-integer time {time!r} queued"
+        seen["entries"] += len(engine._queue)
+
+    machine.engine.set_heartbeat(check, every=1)
+    result = machine.run()
+    assert type(result.execution_time) is int
+    assert seen["entries"] > 0

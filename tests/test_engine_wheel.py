@@ -1,25 +1,28 @@
-"""Differential battery: the indexed event wheel vs the reference heap.
+"""Differential battery: the heap event calendar vs a reference calendar.
 
-The wheel backend (:class:`repro.sim.wheel.WheelEventEngine`) claims to
-be a drop-in replacement for the heap calendar — same API, same error
-surfaces, bit-identical fire order including FIFO same-time ties.  These
-tests prove it two ways:
+The module grew up comparing an indexed event wheel with the heap; the
+wheel is gone, and the same contract corners now pin
+:class:`repro.sim.engine.EventEngine` against :class:`ReferenceCalendar`,
+a deliberately naive calendar defined below.  The reference keeps an
+unordered list, finds the next event by a linear scan over
+``(time, seq)``, and checks the event limit and the heartbeat on every
+event instead of through the engine's watermark, so the two share no
+algorithm — only the contract:
 
-* targeted unit tests for every contract corner the wheel implements
-  differently from the heap (the far-vs-bucket tie rule, the occupancy
-  bitmap wraparound, exception restoration in multi-entry buckets,
-  ``run_until`` at the deadline boundary, heartbeats, event limits);
+* targeted unit tests for every contract corner (FIFO ties across
+  schedule times, widely spaced times, exception recovery mid-tie,
+  ``run_until`` at the deadline boundary, heartbeats, event limits),
+  each asserting the exact values as well as agreement;
 
 * a derandomized Hypothesis battery that drives random
   schedule/``run_until``/heartbeat programs — including callbacks that
-  schedule further events across the wheel horizon — through both
-  engines side by side and asserts identical fire order, ``now``,
-  ``pending``, ``events_processed``, ``peek_time`` and identical
-  ``SimulationError`` strings.
+  schedule further events at moving values of ``now`` — through both
+  calendars side by side and asserts identical fire order, ``now``,
+  ``pending``, ``events_processed``, ``peek_time``, ``next_time`` and
+  identical ``SimulationError`` strings.
 
-Every observable the processor model leans on (notably the exact
-``next_time`` invariant that gates inline batching) is covered by the
-lockstep snapshots.
+``next_time`` is part of every snapshot because the processor's inline
+batching path reads it directly.
 """
 
 import pytest
@@ -32,17 +35,91 @@ from repro.sim.engine import (
     DeadlockError,
     EventEngine,
     SimulationError,
-    create_engine,
 )
-from repro.sim.wheel import WHEEL_SLOTS, WheelEventEngine
 
-BACKENDS = ("heap", "wheel")
+#: A time span used to spread events far apart; any value well above
+#: the dense same-time traffic near zero would do.
+SPAN = 128
+
+
+class ReferenceCalendar:
+    """The engine's documented contract, implemented as plainly as
+    possible: linear-scan pops and per-event limit/heartbeat checks."""
+
+    def __init__(self, event_limit=DEFAULT_EVENT_LIMIT):
+        self.entries = []
+        self.seq = 0
+        self.now = 0
+        self.events_processed = 0
+        self.limit = event_limit
+        self.heartbeat = None
+        self.heartbeat_every = 0
+        self.next_heartbeat = None
+
+    @property
+    def next_time(self):
+        return min((e[0] for e in self.entries), default=TIME_INFINITY)
+
+    @property
+    def pending(self):
+        return len(self.entries)
+
+    def peek_time(self):
+        return self.next_time
+
+    def schedule(self, time, callback):
+        if time < self.now:
+            raise SimulationError(
+                f"cannot schedule event at t={time} before now={self.now}"
+            )
+        self.entries.append((time, self.seq, callback))
+        self.seq += 1
+
+    def schedule_after(self, delay, callback):
+        self.schedule(self.now + delay, callback)
+
+    def set_heartbeat(self, callback, every=250_000):
+        if callback is not None and every <= 0:
+            raise ValueError("heartbeat interval must be positive")
+        self.heartbeat = callback
+        if callback is not None:
+            self.heartbeat_every = every
+            self.next_heartbeat = self.events_processed + every
+
+    def _fire_next(self):
+        entry = min(self.entries, key=lambda e: (e[0], e[1]))
+        self.entries.remove(entry)
+        time, _seq, callback = entry
+        self.now = time
+        self.events_processed += 1
+        if self.events_processed > self.limit:
+            raise SimulationError(
+                f"event limit {self.limit} exceeded at t={time} with "
+                f"{len(self.entries)} events pending; likely a livelock in "
+                "the simulated program"
+            )
+        if self.heartbeat is not None and self.events_processed == self.next_heartbeat:
+            self.next_heartbeat += self.heartbeat_every
+            self.heartbeat(self)
+        callback()
+
+    def run(self):
+        while self.entries:
+            self._fire_next()
+        return self.now
+
+    def run_until(self, deadline):
+        while self.entries and self.next_time <= deadline:
+            self._fire_next()
+        if self.now < deadline:
+            self.now = deadline
+        return self.now
 
 
 def both_engines(event_limit=DEFAULT_EVENT_LIMIT):
     return (
         EventEngine(event_limit=event_limit),
-        WheelEventEngine(event_limit=event_limit),
+        ReferenceCalendar(event_limit=event_limit),
     )
 
 
@@ -57,14 +134,6 @@ def snapshot(engine):
 
 
 class TestFactory:
-    def test_create_engine_backends(self):
-        assert isinstance(create_engine("heap"), EventEngine)
-        assert isinstance(create_engine("wheel"), WheelEventEngine)
-
-    def test_create_engine_rejects_unknown(self):
-        with pytest.raises(ValueError, match="unknown engine backend"):
-            create_engine("calendar")
-
     def test_time_infinity_is_an_integer(self):
         # The empty-calendar sentinel must be an int: peek_time feeds
         # straight into pclock comparisons in the processor's inline
@@ -94,21 +163,21 @@ class TestBasicParity:
         assert logs[0][0] == [0, 1, 2, 3, 4]
 
     def test_far_before_bucket_on_equal_time(self):
-        """An event beyond the horizon at time T is by construction
-        older than any bucket entry at T (their schedule-time horizons
-        cannot overlap), so it must fire first — exactly the heap's
-        global FIFO."""
-        target = WHEEL_SLOTS + 70
+        """An event scheduled early for time T fires before one that a
+        later callback schedules for the same T: FIFO ties are global,
+        not per scheduling epoch."""
+        target = SPAN + 70
         logs = []
         for engine in both_engines():
             log = []
-            # Scheduled at now=0: target is past the wheel horizon.
             engine.schedule(target, lambda: log.append("far"))
-            # A stepping stone inside the horizon; its callback
-            # schedules a *near* event for the same absolute time.
+            # A stepping stone whose callback schedules a *near* event
+            # for the same absolute time.
             engine.schedule(
                 target - 10,
-                lambda: engine.schedule(target, lambda: log.append("near")),
+                lambda engine=engine, log=log: engine.schedule(
+                    target, lambda: log.append("near")
+                ),
             )
             engine.run()
             logs.append((log, snapshot(engine)))
@@ -116,9 +185,9 @@ class TestBasicParity:
         assert logs[0][0] == ["far", "near"]
 
     def test_wraparound_keeps_time_order(self):
-        """Bucket indices wrap modulo WHEEL_SLOTS; absolute fire order
-        must not."""
-        times = [0, 3, WHEEL_SLOTS - 1, WHEEL_SLOTS + 3, 3 * WHEEL_SLOTS + 1]
+        """A chain of events at widely spaced times, each scheduled by
+        its predecessor, fires in absolute time order."""
+        times = [0, 3, SPAN - 1, SPAN + 3, 3 * SPAN + 1]
         logs = []
         for engine in both_engines():
             log = []
@@ -127,18 +196,17 @@ class TestBasicParity:
                 log.append(t)
                 pending = [u for u in times if u > t]
                 if pending:
-                    engine.schedule(pending[0], lambda: chain(pending[0]))
+                    engine.schedule(
+                        pending[0], lambda chain=chain: chain(pending[0])
+                    )
 
-            engine.schedule(times[0], lambda: chain(times[0]))
+            engine.schedule(times[0], lambda chain=chain: chain(times[0]))
             engine.run()
             logs.append((log, snapshot(engine)))
         assert logs[0] == logs[1]
         assert logs[0][0] == times
 
     def test_schedule_in_past_identical_error(self):
-        for engine in both_engines():
-            engine.schedule(10, lambda: None)
-            engine.run()
         messages = []
         for engine in both_engines():
             engine.schedule(10, lambda: None)
@@ -148,12 +216,18 @@ class TestBasicParity:
             messages.append(str(excinfo.value))
             assert snapshot(engine) == (10, 0, 1, TIME_INFINITY, TIME_INFINITY)
         assert messages[0] == messages[1]
+        assert messages[0] == "cannot schedule event at t=9 before now=10"
 
     def test_schedule_after(self):
         logs = []
         for engine in both_engines():
             log = []
-            engine.schedule(5, lambda: engine.schedule_after(3, lambda: log.append(engine.now)))
+            engine.schedule(
+                5,
+                lambda engine=engine, log=log: engine.schedule_after(
+                    3, lambda: log.append(engine.now)
+                ),
+            )
             engine.run()
             logs.append((log, snapshot(engine)))
         assert logs[0] == logs[1]
@@ -166,15 +240,15 @@ class TestRunUntil:
         for engine in both_engines():
             log = []
             for t in (3, 5, 5, 7):
-                engine.schedule(t, lambda t=t: log.append(t))
+                engine.schedule(t, lambda t=t, log=log: log.append(t))
             returned = engine.run_until(5)
             logs.append((log[:], returned, snapshot(engine)))
             engine.run()
             logs.append((log, snapshot(engine)))
         assert logs[0] == logs[2]
         assert logs[1] == logs[3]
-        assert logs[0][0] == [3, 5, 5]
-        assert logs[0][1] == 5
+        assert logs[0] == ([3, 5, 5], 5, (5, 1, 3, 7, 7))
+        assert logs[1][0] == [3, 5, 5, 7]
 
     def test_now_advances_to_deadline_when_idle(self):
         for engine in both_engines():
@@ -182,18 +256,23 @@ class TestRunUntil:
             assert engine.now == 42
             # The clock never runs backwards on a stale deadline.
             assert engine.run_until(17) == 42
+            assert snapshot(engine) == (42, 0, 0, TIME_INFINITY, TIME_INFINITY)
 
     def test_resume_after_deadline(self):
         logs = []
         for engine in both_engines():
             log = []
-            engine.schedule(WHEEL_SLOTS + 9, lambda: log.append("late"))
-            engine.run_until(WHEEL_SLOTS)
+            engine.schedule(SPAN + 9, lambda log=log: log.append("late"))
+            engine.run_until(SPAN)
             state_mid = snapshot(engine)
-            engine.run_until(2 * WHEEL_SLOTS)
+            engine.run_until(2 * SPAN)
             logs.append((log, state_mid, snapshot(engine)))
         assert logs[0] == logs[1]
-        assert logs[0][0] == ["late"]
+        assert logs[0] == (
+            ["late"],
+            (SPAN, 1, 0, SPAN + 9, SPAN + 9),
+            (2 * SPAN, 0, 1, TIME_INFINITY, TIME_INFINITY),
+        )
 
 
 class TestHeartbeat:
@@ -202,7 +281,8 @@ class TestHeartbeat:
         for engine in both_engines():
             beats = []
             engine.set_heartbeat(
-                lambda e: beats.append((e.now, e.events_processed)), every=2
+                lambda e, beats=beats: beats.append((e.now, e.events_processed)),
+                every=2,
             )
             for t in range(5):
                 engine.schedule(t, lambda: None)
@@ -230,22 +310,27 @@ class TestHeartbeat:
             engine.set_heartbeat(None, every=0)
 
     def test_heartbeat_abort_propagates(self):
+        """A raising heartbeat aborts the run: the event it fired on is
+        consumed but its callback never runs."""
+
         class Abort(SimulationError):
             pass
 
         outcomes = []
         for engine in both_engines():
+            fired = []
 
             def beat(e):
                 raise Abort(f"aborted at {e.events_processed}")
 
             engine.set_heartbeat(beat, every=3)
             for t in range(6):
-                engine.schedule(t, lambda: None)
+                engine.schedule(t, lambda t=t, fired=fired: fired.append(t))
             with pytest.raises(Abort) as excinfo:
                 engine.run()
-            outcomes.append((str(excinfo.value), snapshot(engine)))
+            outcomes.append((str(excinfo.value), fired, snapshot(engine)))
         assert outcomes[0] == outcomes[1]
+        assert outcomes[0] == ("aborted at 3", [0, 1], (2, 3, 3, 3, 3))
 
 
 class TestEventLimit:
@@ -253,18 +338,23 @@ class TestEventLimit:
         outcomes = []
         for engine in both_engines(event_limit=10):
 
-            def respawn():
-                engine.schedule_after(1, respawn)
+            def respawn(engine=engine):
+                engine.schedule_after(1, lambda: respawn(engine))
 
             engine.schedule(0, respawn)
             # Background events so the pending count in the message is
             # exercised, not just zero.
             engine.schedule(1000, lambda: None)
-            engine.schedule(WHEEL_SLOTS * 3, lambda: None)
+            engine.schedule(SPAN * 3, lambda: None)
             with pytest.raises(SimulationError) as excinfo:
                 engine.run()
             outcomes.append((str(excinfo.value), snapshot(engine)))
         assert outcomes[0] == outcomes[1]
+        assert outcomes[0] == (
+            "event limit 10 exceeded at t=10 with 2 events pending; likely a "
+            "livelock in the simulated program",
+            (10, 2, 11, SPAN * 3, SPAN * 3),
+        )
 
 
 class TestExceptionConsistency:
@@ -278,19 +368,21 @@ class TestExceptionConsistency:
             log = []
 
             def boom():
-                raise exc_type("stalled mid-bucket")
+                raise exc_type("stalled mid-tie")
 
-            engine.schedule(4, lambda: log.append("a"))
+            engine.schedule(4, lambda log=log: log.append("a"))
             engine.schedule(4, boom)
-            engine.schedule(4, lambda: log.append("c"))
-            engine.schedule(9, lambda: log.append("d"))
+            engine.schedule(4, lambda log=log: log.append("c"))
+            engine.schedule(9, lambda log=log: log.append("d"))
             with pytest.raises(exc_type) as excinfo:
                 engine.run()
             mid = (str(excinfo.value), log[:], snapshot(engine))
             engine.run()
             outcomes.append((mid, log, snapshot(engine)))
         assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == ("stalled mid-tie", ["a"], (4, 2, 2, 4, 4))
         assert outcomes[0][1] == ["a", "c", "d"]
+        assert outcomes[0][2] == (9, 0, 4, TIME_INFINITY, TIME_INFINITY)
 
     def test_singleton_exception_consumes_event(self):
         outcomes = []
@@ -307,22 +399,24 @@ class TestExceptionConsistency:
             engine.run()
             outcomes.append((mid, snapshot(engine)))
         assert outcomes[0] == outcomes[1]
+        assert outcomes[0] == (
+            (5, 1, 1, 11, 11),
+            (11, 0, 2, TIME_INFINITY, TIME_INFINITY),
+        )
 
 
 # -- the randomized differential battery --------------------------------------
 
-#: Deltas biased toward the interesting boundaries: dense same-time
-#: traffic near zero, the wheel horizon (bucket vs far classification),
-#: and far beyond it.
+#: Deltas biased toward dense same-time traffic near zero, plus medium
+#: and long jumps so run_until deadlines fall between events.
 _DELTAS = st.one_of(
     st.integers(0, 6),
-    st.integers(WHEEL_SLOTS - 4, WHEEL_SLOTS + 4),
-    st.integers(2 * WHEEL_SLOTS, 2 * WHEEL_SLOTS + 300),
+    st.integers(SPAN - 4, SPAN + 4),
+    st.integers(2 * SPAN, 2 * SPAN + 300),
 )
 
 #: A spawn tree: what a fired callback schedules next, two levels deep,
-#: so schedules are issued from inside run() at moving values of now —
-#: the case the wheel's occupancy bookkeeping has to get right.
+#: so schedules are issued from inside run() at moving values of now.
 _SPAWNS = st.lists(
     st.tuples(_DELTAS, st.lists(st.tuples(_DELTAS, st.just(())), max_size=2)),
     max_size=3,
@@ -331,7 +425,7 @@ _SPAWNS = st.lists(
 _OPS = st.one_of(
     st.tuples(st.just("sched"), _DELTAS, _SPAWNS),
     st.tuples(st.just("run")),
-    st.tuples(st.just("run_until"), st.integers(0, 2 * WHEEL_SLOTS + 300)),
+    st.tuples(st.just("run_until"), st.integers(0, 2 * SPAN + 300)),
     st.tuples(st.just("heartbeat"), st.integers(1, 4)),
     st.tuples(st.just("heartbeat_off")),
 )
@@ -346,7 +440,7 @@ def drive(engine, program):
 
     def make_callback(path, spawns):
         def callback():
-            log.append((path, engine.now, engine.events_processed))
+            log.append((path, engine.now, engine.events_processed, engine.next_time))
             for branch, (delta, nested) in enumerate(spawns):
                 engine.schedule(
                     engine.now + delta,
@@ -366,8 +460,6 @@ def drive(engine, program):
         elif kind == "run":
             engine.run()
         elif kind == "run_until":
-            # Absolute deadline so both engines compare the same value
-            # even though their now moves in lockstep anyway.
             engine.run_until(op[1])
         elif kind == "heartbeat":
             engine.set_heartbeat(heartbeat, every=op[1])
@@ -383,17 +475,17 @@ def drive(engine, program):
 @given(program=_PROGRAMS)
 def test_differential_battery(program):
     """Random schedule/run_until/heartbeat programs produce bit-identical
-    observable behaviour on both backends."""
-    heap_log, heap_snapshots = drive(EventEngine(), program)
-    wheel_log, wheel_snapshots = drive(WheelEventEngine(), program)
-    assert wheel_log == heap_log
-    assert wheel_snapshots == heap_snapshots
+    observable behaviour on the engine and the reference."""
+    engine_log, engine_snapshots = drive(EventEngine(), program)
+    reference_log, reference_snapshots = drive(ReferenceCalendar(), program)
+    assert engine_log == reference_log
+    assert engine_snapshots == reference_snapshots
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(program=_PROGRAMS, limit=st.integers(1, 12))
 def test_differential_battery_under_event_limit(program, limit):
-    """With a tiny event budget both backends raise the same
+    """With a tiny event budget both calendars raise the same
     SimulationError (or both finish) and agree on the final state."""
     outcomes = []
     for engine in both_engines(event_limit=limit):
@@ -403,36 +495,3 @@ def test_differential_battery_under_event_limit(program, limit):
         except SimulationError as exc:
             outcomes.append(("err", str(exc), snapshot(engine)))
     assert outcomes[0] == outcomes[1]
-
-
-# -- integer-time regression ---------------------------------------------------
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_engine_times_stay_integral(backend, monkeypatch):
-    """No path may feed a float time into the calendar: latencies,
-    pclock arithmetic, and the TIME_INFINITY sentinel are all integer by
-    contract, and a single float would poison every downstream
-    comparison.  Wrap schedule() on a real smoke run and check every
-    scheduled time (and the engine clock) stays exactly ``int``."""
-    from repro.config import dash_scaled_config
-    from repro.experiments.registry import SMOKE_PROCESSES, smoke_program
-    from repro.system import run_program
-
-    seen = {"count": 0}
-    for cls in (EventEngine, WheelEventEngine):
-        original = cls.schedule
-
-        def checked(self, time, callback, _original=original):
-            assert type(time) is int, f"non-integer time {time!r} scheduled"
-            assert type(self.next_time) is int
-            seen["count"] += 1
-            return _original(self, time, callback)
-
-        monkeypatch.setattr(cls, "schedule", checked)
-    config = dash_scaled_config(num_processors=SMOKE_PROCESSES).replace(
-        engine_backend=backend
-    )
-    result = run_program(smoke_program("LU"), config)
-    assert type(result.execution_time) is int
-    assert seen["count"] > 0

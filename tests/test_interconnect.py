@@ -1,5 +1,7 @@
 """Unit tests for the interconnect contention model."""
 
+import pytest
+
 from repro.config import ContentionConfig
 from repro.interconnect import Interconnect
 
@@ -177,3 +179,88 @@ class TestHopEdgeCasesVsEnvelopes:
             point = quiet.get(Consistency.RC, cls)
             assert wide.min_cycles == point.min_cycles
             assert wide.max_cycles > point.max_cycles
+
+
+def _bookkeeping(net):
+    """Every queued resource's ``(_next_free, _busy_total,
+    _transactions)``, demand and background chains alike."""
+    return [
+        (res._next_free, res._busy_total, res._transactions)
+        for chain in (net.nodes, net.background)
+        for links in chain
+        for res in (
+            links.bus, links.link_in, links.link_out,
+            links.directory_ctl, links.memory,
+        )
+    ]
+
+
+def _preload(net):
+    """Uneven prior traffic so the fused charges meet real queues."""
+    for node in range(4):
+        for background in (False, True):
+            for _ in range(node + 1):
+                net.charge_bus(node, 3 * node, data=True, background=background)
+                net.charge_hop(node, (node + 1) % 4, 2 * node, data=True,
+                               background=background)
+                net.charge_memory(node, node, background=background)
+
+
+class TestFusedCharges:
+    """The fused per-transaction charges equal their call-by-call
+    sequences: same returned delays, same resource bookkeeping."""
+
+    @staticmethod
+    def _writeback_delays(net, node, home, time):
+        return [
+            net.charge_bus(node, time, data=True, background=True),
+            net.charge_hop(node, home, time, data=True, background=True),
+            net.charge_memory(home, time, background=True),
+        ]
+
+    @staticmethod
+    def _invalidation_delays(net, home, sharer, node, time, background):
+        return [
+            net.charge_hop(home, sharer, time, data=False, background=background),
+            net.charge_hop(sharer, node, time, data=False, background=background),
+        ]
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("node,home", [(0, 0), (0, 2), (3, 1)])
+    @pytest.mark.parametrize("time", [0, 5, 40])
+    def test_charge_writeback_matches_call_by_call(self, enabled, node, home, time):
+        fused, classic = make_net(enabled), make_net(enabled)
+        _preload(fused)
+        _preload(classic)
+        assert fused.charge_writeback(node, home, time) is None
+        classic.charge_bus(node, time, data=True, background=True)
+        if home != node:
+            classic.charge_hop(node, home, time, data=True, background=True)
+        classic.charge_memory(home, time, background=True)
+        assert _bookkeeping(fused) == _bookkeeping(classic)
+        # Later charges see identical queues, hence identical delays.
+        assert self._writeback_delays(fused, node, home, time) == (
+            self._writeback_delays(classic, node, home, time)
+        )
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("background", [False, True])
+    @pytest.mark.parametrize(
+        "home,sharer,node", [(0, 1, 2), (0, 0, 0), (1, 1, 0), (2, 3, 2)]
+    )
+    @pytest.mark.parametrize("time", [0, 7])
+    def test_charge_invalidation_matches_two_hops(
+        self, enabled, background, home, sharer, node, time
+    ):
+        fused, classic = make_net(enabled), make_net(enabled)
+        _preload(fused)
+        _preload(classic)
+        assert fused.charge_invalidation(
+            home, sharer, node, time, background=background
+        ) is None
+        classic.charge_hop(home, sharer, time, data=False, background=background)
+        classic.charge_hop(sharer, node, time, data=False, background=background)
+        assert _bookkeeping(fused) == _bookkeeping(classic)
+        assert self._invalidation_delays(fused, home, sharer, node, time, background) == (
+            self._invalidation_delays(classic, home, sharer, node, time, background)
+        )
