@@ -35,10 +35,6 @@ it compares the fresh measurement against the committed one and fails
 * committed-vs-fresh drift in a simulated event count, which is
   deterministic and must match exactly.
 
-Files committed while the simulator had two event calendars carry a
-``backends`` section per calendar; only their ``heap`` rows (the
-calendar that remains) are compared.
-
 Unlike the figure/table benchmarks in this directory, this is a plain
 script (``python benchmarks/bench_smoke.py``), not a pytest-benchmark
 target: it measures the simulator engine itself, not a reproduction
@@ -161,19 +157,17 @@ def run_benchmarks(
 REGRESSION_FACTOR = 2.0
 
 
-def _committed_backends(committed: dict) -> dict:
-    """Per-backend sections of a committed payload.  Payloads from
-    before and after the two-calendar period have a single top-level
-    ``apps`` (measured on the heap); fold them into the per-backend
-    shape so every committed file loads the same way."""
-    if "backends" in committed:
-        return committed["backends"]
-    return {"heap": {"apps": committed.get("apps", {})}}
-
-
 def _committed_apps(committed: dict) -> dict:
-    """The committed per-app rows of the heap calendar."""
-    return _committed_backends(committed).get("heap", {}).get("apps", {})
+    """The committed per-app rows.  A payload without a top-level
+    ``apps`` is not a trajectory file this script wrote; comparing it
+    would compare nothing, so it fails loudly instead."""
+    apps = committed.get("apps")
+    if not apps:
+        raise ValueError(
+            "baseline has no top-level 'apps' rows; refresh it with "
+            "`python benchmarks/bench_smoke.py`"
+        )
+    return apps
 
 
 def trajectory_delta_line(committed: dict, fresh: dict) -> str:

@@ -17,10 +17,14 @@ transaction is followed by invariant checks over the state it touched:
 
 Violations raise :class:`~repro.sim.engine.SimulationError` carrying a
 trace of the most recent transactions so the offending sequence can be
-reconstructed.  Instrumentation is installed by rebinding *instance*
-attributes on the protocol and memory interfaces — a machine without the
-sanitizer runs the original bound methods with zero added work, which is
-what keeps the default configuration's performance unchanged.
+reconstructed.  The sanitizer is a
+:class:`~repro.coherence.protocol.ProtocolObserver`: :meth:`install`
+attaches it to the protocol, whose entry points then run each
+transaction inside :meth:`CoherenceSanitizer.around`, and whose memory
+interfaces call :meth:`CoherenceSanitizer.after_access` after every
+port access.  A machine without the sanitizer has no observer attached,
+so its entry points skip straight to the transaction and its
+processors serve hits inline.
 
 Enable via ``MachineConfig(sanitize=True)`` or construct directly::
 
@@ -39,7 +43,7 @@ from dataclasses import dataclass
 from typing import Deque, Optional
 
 from repro.caches import LineState
-from repro.coherence import AccessOutcome
+from repro.coherence import AccessOutcome, ProtocolObserver
 from repro.coherence.directory import DirState
 from repro.sim.engine import SimulationError
 
@@ -82,7 +86,7 @@ class TransitionTrace:
         return "\n".join(f"  {t}" for t in self._entries)
 
 
-class CoherenceSanitizer:
+class CoherenceSanitizer(ProtocolObserver):
     """Per-transaction invariant checking for one machine."""
 
     def __init__(self, machine, trace_depth: int = 64) -> None:
@@ -90,75 +94,29 @@ class CoherenceSanitizer:
         self.protocol = machine.protocol
         self.trace = TransitionTrace(trace_depth)
         self.checks_performed = 0
-        self._installed = False
-        self._saved = []
 
     # -- instrumentation ------------------------------------------------------
 
     def install(self) -> "CoherenceSanitizer":
-        """Wrap the protocol's and memory interfaces' entry points."""
-        if self._installed:
-            return self
-        protocol = self.protocol
-        self._wrap_protocol(protocol, "read", "read")
-        self._wrap_protocol(protocol, "write", "write")
-        self._wrap_protocol(protocol, "read_uncached", "read_uncached")
-        self._wrap_protocol(protocol, "write_uncached", "write_uncached")
-        self._wrap_prefetch(protocol)
-        for iface in self.machine.memifaces:
-            self._wrap_iface(iface)
-        self._installed = True
+        """Attach to the protocol."""
+        self.protocol.attach(self)
         return self
 
-    def uninstall(self) -> None:
-        """Restore the original bound methods."""
-        for obj, name in self._saved:
-            try:
-                delattr(obj, name)
-            except AttributeError:
-                pass
-        self._saved.clear()
-        self._installed = False
+    def detach(self) -> None:
+        """Stop observing: later runs take the unobserved fast path."""
+        self.protocol.detach(self)
 
-    def _wrap_protocol(self, protocol, name: str, kind: str) -> None:
-        original = getattr(protocol, name)
-        sanitizer = self
+    def around(self, kind, node, addr, time, issue, exclusive=False, **kw):
+        """Record the transaction, then check the line it touched."""
+        outcome = issue(time)
+        if exclusive:
+            kind = "prefetch-excl"
+        self._record(time, node, kind, addr, outcome)
+        self.check_line(self.protocol.line_of(addr))
+        return outcome
 
-        def wrapper(node, addr, time, **kwargs):
-            outcome = original(node, addr, time, **kwargs)
-            sanitizer._record(time, node, kind, addr, outcome)
-            sanitizer.check_line(protocol.line_of(addr))
-            return outcome
-
-        setattr(protocol, name, wrapper)
-        self._saved.append((protocol, name))
-
-    def _wrap_prefetch(self, protocol) -> None:
-        original = protocol.prefetch
-        sanitizer = self
-
-        def wrapper(node, addr, exclusive, time):
-            outcome = original(node, addr, exclusive, time)
-            kind = "prefetch-excl" if exclusive else "prefetch"
-            sanitizer._record(time, node, kind, addr, outcome)
-            sanitizer.check_line(protocol.line_of(addr))
-            return outcome
-
-        protocol.prefetch = wrapper
-        self._saved.append((protocol, "prefetch"))
-
-    def _wrap_iface(self, iface) -> None:
-        sanitizer = self
-        for name in ("read", "write", "prefetch"):
-            original = getattr(iface, name)
-
-            def wrapper(*args, _original=original, _iface=iface, **kwargs):
-                result = _original(*args, **kwargs)
-                sanitizer.check_buffers(_iface)
-                return result
-
-            setattr(iface, name, wrapper)
-            self._saved.append((iface, name))
+    def after_access(self, iface) -> None:
+        self.check_buffers(iface)
 
     def _record(
         self, time: int, node: int, kind: str, addr: int,

@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
+from repro.coherence import ProtocolObserver
 from repro.config import Consistency, ContentionConfig, dash_scaled_config
 from repro.sim.engine import SimulationError
 from repro.system import Machine
@@ -192,6 +193,25 @@ def _build_program(
     )
 
 
+class _Recorder(ProtocolObserver):
+    """Records each protocol read's ``(addr, issue time)`` per node and
+    each write's retire time per address."""
+
+    def __init__(self, num_threads: int) -> None:
+        self.reads_by_node: Dict[int, List[Tuple[int, int]]] = {
+            node: [] for node in range(num_threads)
+        }
+        self.writes_by_addr: Dict[int, List[int]] = {}
+
+    def around(self, kind, node, addr, time, issue, **kw):
+        outcome = issue(time)
+        if kind == "read":
+            self.reads_by_node[node].append((addr, time))
+        elif kind == "write":
+            self.writes_by_addr.setdefault(addr, []).append(outcome.retire)
+        return outcome
+
+
 def _run_one(
     test: LitmusTest,
     model: Consistency,
@@ -219,38 +239,21 @@ def _run_one(
     config = dash_scaled_config(**kwargs)
     machine = Machine(config)
 
-    reads_by_node: Dict[int, List[Tuple[int, int]]] = {
-        node: [] for node in range(test.num_threads)
-    }
-    writes_by_addr: Dict[int, List[int]] = {}
-    protocol = machine.protocol
-    original_read = protocol.read
-    original_write = protocol.write
-
-    def recording_read(node, addr, time):
-        outcome = original_read(node, addr, time)
-        reads_by_node[node].append((addr, time))
-        return outcome
-
-    def recording_write(node, addr, time, background=False):
-        outcome = original_write(node, addr, time, background=background)
-        writes_by_addr.setdefault(addr, []).append(outcome.retire)
-        return outcome
-
-    protocol.read = recording_read
-    protocol.write = recording_write
+    recorder = _Recorder(test.num_threads)
+    machine.protocol.attach(recorder)
 
     machine.load(program)
     machine.run()
 
     def value_of(addr: int, when: int) -> int:
-        return sum(1 for retire in writes_by_addr.get(addr, ()) if retire <= when)
+        writes = recorder.writes_by_addr.get(addr, ())
+        return sum(1 for retire in writes if retire <= when)
 
     warmup = len(test.data_vars)
     outcome: List[int] = []
     for tid, body in enumerate(test.threads):
         expected_reads = sum(1 for op, _var in body if op == "read")
-        recorded = reads_by_node[tid][warmup:]
+        recorded = recorder.reads_by_node[tid][warmup:]
         if len(recorded) != expected_reads:
             raise SimulationError(
                 f"litmus {test.name}/{model.name}: thread {tid} recorded "

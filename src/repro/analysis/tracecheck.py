@@ -828,8 +828,10 @@ def _read_forwarding_unissued(self: Any, addr: int, now: int) -> Any:
 
 
 def apply_mutation(machine: Any, name: str) -> None:
-    """Install one intentionally-buggy behaviour on a built machine
-    (instance rebinding, same technique as the fault injector)."""
+    """Install one intentionally-buggy behaviour on a built machine by
+    rebinding memory-interface instance methods.  Mutations run only
+    with tracing on, which keeps the processors' inline probes off, so
+    every access reaches the rebound method."""
     if name == "drop-inval-ack":
         for iface in machine.memifaces:
             setattr(iface, "write", types.MethodType(_write_dropping_acks, iface))

@@ -6,6 +6,7 @@ from repro.coherence.protocol import (
     AccessOutcome,
     CoherenceProtocol,
     NodeCaches,
+    ProtocolObserver,
     ProtocolStats,
 )
 from repro.coherence.table import (
@@ -31,6 +32,7 @@ __all__ = [
     "DirState",
     "Impossible",
     "NodeCaches",
+    "ProtocolObserver",
     "ProtocolStats",
     "ProtocolTableError",
     "ProtoEvent",

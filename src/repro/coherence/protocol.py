@@ -169,12 +169,34 @@ class NodeCaches:  # srclint: ok(missing-slots) — dataclass defaults clash wit
     secondary: DirectMappedCache
 
 
-class CoherenceProtocol:  # srclint: ok(missing-slots) — sanitizer/fault layers rebind instance methods
+class ProtocolObserver:
+    """What :meth:`CoherenceProtocol.attach` accepts.
+
+    ``around`` runs in place of one transaction of ``kind`` (``read``,
+    ``write``, ``prefetch``, ``read_uncached``, ``write_uncached``);
+    ``issue(t)`` runs the rest of the chain at issue time ``t``, and
+    ``kw`` carries ``background`` (writes) or ``exclusive`` (prefetch).
+    ``after_access`` runs after every memory-interface ``read``/
+    ``write``/``prefetch`` of port ``iface``.
+    """
+
+    __slots__ = ()
+
+    def around(self, kind, node, addr, time, issue, **kw):
+        return issue(time)
+
+    def after_access(self, iface) -> None:
+        pass
+
+
+class CoherenceProtocol:  # srclint: ok(missing-slots) — perfbench's check_no_rebinding calls vars() on it
     """Transaction engine over the directories, caches, and interconnect.
 
     The protocol *state machine* is the declarative
     :attr:`table`; this class sequences the rule actions and charges
-    the latencies.
+    the latencies.  Observers (:meth:`attach`) wrap the transaction
+    entry points; with none attached an entry point is one truthiness
+    test in front of its unobserved body (``_read``, ``_write``, ...).
     """
 
     def __init__(
@@ -243,14 +265,6 @@ class CoherenceProtocol:  # srclint: ok(missing-slots) — sanitizer/fault layer
             int(s): int(r.next_cache_state)
             for s, r in self._write_hit_rules.items()
         }
-        #: Gate for the processors' inline SC write probe: the M-state
-        #: write hit must exist, fill from cache, and preserve M for the
-        #: probe's fixed ``state == 2`` fast path to be faithful.
-        _m = int(LineState.DIRTY)
-        self._write_hit_inline_ok = bool(
-            self._write_hit_fills.get(_m)
-            and self._write_hit_next_by_int.get(_m) == _m
-        )
         #: States a remote read demotes in place (the owner-capable
         #: states) and what they demote to; local-write-complete states
         #: for the prefetch/fault-exposure probes.
@@ -326,6 +340,10 @@ class CoherenceProtocol:  # srclint: ok(missing-slots) — sanitizer/fault layer
         #: Memory-event trace recorder; installed by the machine when
         #: ``MachineConfig.trace_memory_events`` is set, else ``None``.
         self.trace = None
+        #: Attached :class:`ProtocolObserver` s, innermost first.  The
+        #: list is mutated in place and never rebound, so the memory
+        #: interfaces may alias it.
+        self._observers: List[ProtocolObserver] = []
         #: Packed-array fast path: with both levels direct-mapped (every
         #: paper configuration) the hit checks index the caches' raw
         #: tag/state arrays directly.  The arrays are aliased here —
@@ -358,6 +376,29 @@ class CoherenceProtocol:  # srclint: ok(missing-slots) — sanitizer/fault layer
         self._lat_read_primary_hit = lat.read_primary_hit
         self._lat_read_fill_secondary = lat.read_fill_secondary
         self._lat_write_owned_secondary = lat.write_owned_secondary
+
+    # -- observers ---------------------------------------------------------
+
+    def attach(self, observer: ProtocolObserver) -> None:
+        """Interpose ``observer`` on the transaction entry points.
+
+        Attach order is nesting order: each observer wraps the ones
+        attached before it.  Attach before ``Machine.run``: a processor
+        decides at its first continuation whether it may serve hits
+        inline, which it does only with no observer attached.
+        """
+        self._observers.append(observer)
+
+    def detach(self, observer: ProtocolObserver) -> None:
+        self._observers.remove(observer)
+
+    def _observed(self, kind: str, node: int, addr: int, time: int, **kw):
+        """Run the unobserved transaction ``_<kind>`` inside every
+        attached observer's ``around``, the first attached innermost."""
+        issue = partial(getattr(self, "_" + kind), node, addr, **kw)
+        for observer in self._observers:
+            issue = partial(observer.around, kind, node, addr, issue=issue, **kw)
+        return issue(time)
 
     # -- helpers -----------------------------------------------------------
 
@@ -479,6 +520,11 @@ class CoherenceProtocol:  # srclint: ok(missing-slots) — sanitizer/fault layer
 
     def read(self, node: int, addr: int, time: int) -> AccessOutcome:
         """Service a processor read at ``time``; returns data arrival."""
+        if self._observers:
+            return self._observed("read", node, addr, time)
+        return self._read(node, addr, time)
+
+    def _read(self, node: int, addr: int, time: int) -> AccessOutcome:
         line = addr - addr % self._line_bytes
         if self._fast:
             # Packed fast path: identical transitions and counter
@@ -673,6 +719,11 @@ class CoherenceProtocol:  # srclint: ok(missing-slots) — sanitizer/fault layer
         ``retire`` is the ownership-acquired time (write-buffer retire);
         ``complete`` additionally covers invalidation acknowledgements.
         """
+        if self._observers:
+            return self._observed("write", node, addr, time, background=background)
+        return self._write(node, addr, time, background)
+
+    def _write(self, node: int, addr: int, time: int, background: bool) -> AccessOutcome:
         line = addr - addr % self._line_bytes
         stats = self.stats
         if self._fast:
@@ -922,6 +973,13 @@ class CoherenceProtocol:  # srclint: ok(missing-slots) — sanitizer/fault layer
         prefetch (it is discarded); otherwise behaves like a read fill or
         ownership acquisition and fills *both* cache levels on return.
         """
+        if self._observers:
+            return self._observed("prefetch", node, addr, time, exclusive=exclusive)
+        return self._prefetch(node, addr, time, exclusive)
+
+    def _prefetch(
+        self, node: int, addr: int, time: int, exclusive: bool
+    ) -> Optional[AccessOutcome]:
         line = self.line_of(addr)
         state = self.caches[node].secondary.probe(line)
         if state in self._write_hit_states or (
@@ -948,6 +1006,11 @@ class CoherenceProtocol:  # srclint: ok(missing-slots) — sanitizer/fault layer
         The latency is the corresponding memory latency minus the fill
         overhead (five to ten cycles less than Table 1).
         """
+        if self._observers:
+            return self._observed("read_uncached", node, addr, time)
+        return self._read_uncached(node, addr, time)
+
+    def _read_uncached(self, node: int, addr: int, time: int) -> AccessOutcome:
         line = self.line_of(addr)
         lat = self.config.latency
         home = self.home_of(line)
@@ -969,6 +1032,13 @@ class CoherenceProtocol:  # srclint: ok(missing-slots) — sanitizer/fault layer
 
     def write_uncached(
         self, node: int, addr: int, time: int, background: bool = False
+    ) -> AccessOutcome:
+        if self._observers:
+            return self._observed("write_uncached", node, addr, time, background=background)
+        return self._write_uncached(node, addr, time, background)
+
+    def _write_uncached(
+        self, node: int, addr: int, time: int, background: bool
     ) -> AccessOutcome:
         line = self.line_of(addr)
         lat = self.config.latency

@@ -1,11 +1,11 @@
 """Fault injection at the interconnect/coherence-protocol boundary.
 
-:class:`FaultInjector` instruments a built
-:class:`~repro.system.machine.Machine` the same way the PR-1 coherence
-sanitizer does — by rebinding *instance* attributes over the protocol's
+:class:`FaultInjector` is a
+:class:`~repro.coherence.protocol.ProtocolObserver`, like the coherence
+sanitizer: attached to the protocol, it runs around each call of the
 transaction entry points (``read``, ``write``, ``prefetch``,
 ``read_uncached``, ``write_uncached``).  A machine whose fault plan is
-empty never installs the injector at all, so the fault-free fast path
+empty never attaches the injector at all, so the fault-free fast path
 stays bit-identical to a machine without the fault layer.
 
 For every access that would actually put a message on the network
@@ -38,7 +38,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from repro.coherence import AccessOutcome
+from repro.coherence import AccessOutcome, ProtocolObserver
 from repro.faults.plan import FaultPlan
 from repro.sim.engine import SimulationError
 
@@ -94,7 +94,7 @@ class FaultStats:
         )
 
 
-class FaultInjector:
+class FaultInjector(ProtocolObserver):
     """Per-machine message fault injection with NACK/retry semantics."""
 
     def __init__(self, machine, plan: FaultPlan, seed_mix: int = 0) -> None:
@@ -108,55 +108,26 @@ class FaultInjector:
         # One deterministic stream per (plan, machine seed): the call
         # sequence is deterministic, so the injected faults are too.
         self._rng = random.Random(plan.seed * 1_000_003 + seed_mix)
-        self._installed = False
 
     # -- instrumentation ----------------------------------------------------
 
     def install(self) -> "FaultInjector":
-        """Wrap the protocol's transaction entry points.
+        """Attach to the protocol.
 
-        Installed *after* the sanitizer (when both are enabled) so the
-        sanitizer checks the real, single protocol transaction and the
-        injector only shifts its issue time and response latency.
+        Attached *after* the sanitizer (when both are enabled), so it
+        wraps the sanitizer: the sanitizer checks the real, single
+        protocol transaction and the injector only shifts its issue
+        time and response latency.
         """
-        if self._installed:
-            return self
-        protocol = self.protocol
-        for kind in ("read", "write", "read_uncached", "write_uncached"):
-            self._wrap(protocol, kind)
-        self._wrap_prefetch(protocol)
-        self._installed = True
+        self.protocol.attach(self)
         return self
 
-    def _wrap(self, protocol, kind: str) -> None:
-        original = getattr(protocol, kind)
-        injector = self
-
-        def wrapper(node, addr, time, **kwargs):
-            if not protocol.crosses_node_boundary(kind, node, addr):
-                return original(node, addr, time, **kwargs)
-            return injector._faulted(
-                kind, node, addr, time,
-                lambda t: original(node, addr, t, **kwargs),
-            )
-
-        setattr(protocol, kind, wrapper)
-
-    def _wrap_prefetch(self, protocol) -> None:
-        original = protocol.prefetch
-        injector = self
-
-        def wrapper(node, addr, exclusive, time):
-            if not protocol.crosses_node_boundary(
-                "prefetch", node, addr, exclusive=exclusive
-            ):
-                return original(node, addr, exclusive, time)
-            return injector._faulted(
-                "prefetch", node, addr, time,
-                lambda t: original(node, addr, exclusive, t),
-            )
-
-        protocol.prefetch = wrapper
+    def around(self, kind, node, addr, time, issue, exclusive=False, **kw):
+        if not self.protocol.crosses_node_boundary(
+            kind, node, addr, exclusive=exclusive
+        ):
+            return issue(time)
+        return self._faulted(kind, node, addr, time, issue)
 
     # -- the fault path ------------------------------------------------------
 

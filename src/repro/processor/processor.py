@@ -26,15 +26,22 @@ read/write/busy opcodes and their short-stall handling are inline.
 :class:`~repro.processor.accounting.TimeBreakdown`, so every external
 observer sees the same accounting as before.
 
+The inline read and SC write probes serve cache hits straight from the
+protocol's packed arrays, with the protocol's own counter bumps,
+latencies and spec-derived next states.  They are live only when no
+observer is attached to the protocol and no trace is installed; the
+prologue of ``_loop`` decides this once, since both attach before
+``Machine.run``.  Otherwise every access goes through the memory
+interface to the protocol's entry points, where observers see it.
+
 ``_loop`` is a generator, and a continuation event is the bound
 ``__next__`` of its one live instance: each event resumes the suspended
 frame, whose locals already hold the stable state bound once in the
-prologue, so a resume re-derives only the clock, the run length, the
-trace and the "no ``read``/``write`` wrapper installed" gates.  This is
-safe because at most one continuation is ever pending per processor and
-none ever runs inside another: ``_loop`` queues one only just before
-it yields, and a parked processor (the only state in which a grant
-schedules a continuation) has none pending by construction.  A
+prologue, so a resume re-derives only the clock and the run length.
+This is safe because at most one continuation is ever pending per
+processor and none ever runs inside another: ``_loop`` queues one only
+just before it yields, and a parked processor (the only state in which
+a grant schedules a continuation) has none pending by construction.  A
 finished processor stays suspended at its last ``yield`` and is never
 resumed.
 
@@ -50,6 +57,7 @@ from __future__ import annotations
 from heapq import heappush
 from typing import TYPE_CHECKING, Callable, Iterator, List, Optional
 
+from repro.caches import LineState
 from repro.coherence.protocol import AccessClass
 from repro.config import MachineConfig
 from repro.consistency import ConsistencyPolicy
@@ -231,10 +239,11 @@ class Processor:
         """The continuation: a generator resumed once per event.
 
         The prologue runs once, at the first continuation (after every
-        observer had its chance to install): it binds the stable state —
-        aliased containers mutated in place and never rebound, and
-        scalars from the frozen config — into frame locals.  Each
-        resume then re-derives only what may change between events.
+        observer and trace is attached): it binds the stable state —
+        aliased containers mutated in place and never rebound, scalars
+        from the frozen config, and whether the inline probes are live —
+        into frame locals.  Each resume then re-derives only the clock,
+        the run length and the running context.
         """
         engine = self.engine
         # The calendar's heap and its shared tie-break counter: a
@@ -249,78 +258,49 @@ class Processor:
         run_lengths = self.run_lengths
         fill_stall = self._fill_stall
         loop_cb = self._loop_cb
-        # Packed-probe state.  The probes are live only when the fused
-        # path's gates all pass (see ``memiface.read``); observers — the
-        # sanitizer, the litmus recorder, the fault injector, traces —
-        # all install before ``Machine.run`` starts the processors.
-        probe_tags = wprobe_tags = None
-        misses = wb_lines = pdict = idict = None
-        pstates = pstats = reads = None
-        sstates = sstats = writes = pstats_all = None
+        trace = self.trace
+        # Packed-probe state, decided once (see the module docstring);
+        # ``ptags``/``stags`` of None switch the probes off.
+        protocol = memiface.protocol
+        ptags = stags = None
+        misses = wb_lines = pstates = pstats = reads = None
+        sstates = sstats = writes = stats = write_next = None
         line_bytes = pri_sets = lat_rph = sec_sets = lat_wos = 0
         if (
-            self.trace is None
-            and getattr(memiface, "_fuse", False)
+            protocol._fast
+            and not protocol._observers
+            and trace is None
             and memiface.trace is None
-            and memiface.protocol.trace is None
+            and protocol.trace is None
         ):
-            finfo = memiface._finfo[self.node_id]
-            probe_tags, pstates, pstats = finfo[0], finfo[1], finfo[2]
+            finfo = protocol._fast_info[self.node_id]
+            ptags, pstates, pstats = finfo[0], finfo[1], finfo[2]
             misses = memiface._misses
             wb_lines = memiface._wb_lines
-            pdict = memiface._pdict
-            idict = memiface.__dict__
-            reads = memiface._reads
-            line_bytes = memiface._line_bytes
-            pri_sets = memiface._pri_sets
-            lat_rph = memiface._lat_rph
-            if (
-                memiface.policy.write_stalls_processor
-                and memiface.protocol._write_hit_inline_ok
-            ):
-                # SC write probe: a DIRTY secondary line is an owned
-                # write hit that never leaves the node, so it can be
-                # served inline exactly like ``_fused_write_hit``.
-                # Only built under SC (RC writes go through the write
-                # buffer's occupancy bookkeeping unconditionally) and
-                # only when the active spec's M write hit fills from
-                # cache and stays M (the probe's fixed ``state == 2``
-                # test serves exactly that rule; MESI's E hit falls
-                # through to the memiface path) — a table that says
-                # otherwise must keep raising through the classic path.
-                wprobe_tags, sstates, sstats = finfo[3], finfo[4], finfo[5]
-                writes = memiface._writes
-                pstats_all = memiface.protocol.stats
-                sec_sets = memiface._sec_sets
-                lat_wos = memiface._lat_wos
+            stats = protocol.stats
+            reads = stats.reads_by_class
+            line_bytes = protocol._line_bytes
+            pri_sets = protocol._pri_sets
+            lat_rph = protocol._lat_read_primary_hit
+            if memiface.policy.write_stalls_processor:
+                # SC only: RC writes always take the write buffer.
+                # ``write_next`` maps a raw state to its write hit's next
+                # state, None where the rule does not fill from cache
+                # (``protocol.write`` raises for those) or is no hit.
+                stags, sstates, sstats = finfo[3], finfo[4], finfo[5]
+                writes = stats.writes_by_class
+                sec_sets = protocol._sec_sets
+                lat_wos = protocol._lat_write_owned_secondary
+                write_next = [None] * len(LineState)
+                for state, fills in protocol._write_hit_fills.items():
+                    if fills:
+                        write_next[state] = protocol._write_hit_next_by_int[state]
         while True:
             # One continuation per pass.  The clock (`time`) and current
             # run length (`run`) live in locals; every call that can
             # observe or mutate them goes through an explicit
             # write-back/reload pair, and every exit from the inner loop
             # writes them back before the frame yields.
-            trace = self.trace
-            # A fresh "no wrapper installed" check per continuation, so
-            # the sanitizer, litmus recorder, and fault injector all
-            # re-route through the classic path (``ptags``/``stags`` of
-            # None switch the inline probes off).
-            if (
-                probe_tags is not None
-                and "read" not in pdict
-                and "read" not in idict
-            ):
-                ptags = probe_tags
-            else:
-                ptags = None
-            if (
-                wprobe_tags is not None
-                and ptags is not None
-                and "write" not in pdict
-                and "write" not in idict
-            ):
-                stags = wprobe_tags
-            else:
-                stags = None
             time = self.time
             run = self._current_run
             ctx = contexts[self._active]
@@ -363,16 +343,17 @@ class Processor:
                 if code == _OP_READ:
                     self.shared_reads += 1
                     addr = op[1]
+                    ready = None
                     if ptags is not None:
                         # A tag match is a primary hit, served with the
-                        # identical counter bumps and latency as the fused
-                        # probe — provided *this line* has no in-flight
-                        # miss to combine with and no buffered store to
-                        # forward from (other lines' entries are
+                        # identical counter bumps and latency as
+                        # ``protocol.read`` — provided *this line* has no
+                        # in-flight miss to combine with and no buffered
+                        # store to forward from (other lines' entries are
                         # irrelevant to a hit).  Pending retire/queue
                         # timestamps don't affect a hit, and their expiry
                         # is observation-independent, so it can wait for
-                        # the next classic-path access.
+                        # the next memory-interface access.
                         line = addr - addr % line_bytes
                         index = (line // line_bytes) % pri_sets
                         if (
@@ -384,35 +365,16 @@ class Processor:
                             pstats.hits += 1
                             reads[_PRIMARY_HIT] = reads.get(_PRIMARY_HIT, 0) + 1
                             ready = time + lat_rph
-                            cycles[_SLOT_BUSY] += 1
-                            time += 1
-                            run += 1
-                            if ready > time:
-                                stall = ready - time
-                                if stall >= threshold:
-                                    run_lengths.append(run)
-                                    run = 0
-                                if not multi:
-                                    cycles[_SLOT_READ_STALL] += stall
-                                    time = ready
-                                elif stall < threshold:
-                                    cycles[_SLOT_NO_SWITCH] += stall
-                                    time = ready
-                                else:
-                                    self.time = time
-                                    self._current_run = run
-                                    ctx.block_until(ready, _READ_STALL, time)
-                                    memiface.note_fill_arrival(ready)
-                            continue
-                    if trace is not None:
-                        trace.begin_op(ctx.process_id, ctx.ops_executed - 1)
-                    result = memiface.read(addr, time)
-                    if result[2]:
-                        self.prefetch_partial_hits += 1
+                    if ready is None:
+                        if trace is not None:
+                            trace.begin_op(ctx.process_id, ctx.ops_executed - 1)
+                        result = memiface.read(addr, time)
+                        if result[2]:
+                            self.prefetch_partial_hits += 1
+                        ready = result[0]
                     cycles[_SLOT_BUSY] += 1
                     time += 1
                     run += 1
-                    ready = result[0]
                     if ready > time:
                         stall = ready - time
                         if stall >= threshold:
@@ -441,51 +403,37 @@ class Processor:
                 elif code == _OP_WRITE:
                     self.shared_writes += 1
                     addr = op[1]
+                    ready = None
                     if stags is not None:
-                        # Inline SC owned-write hit: a DIRTY secondary line
-                        # never leaves the node, so the write retires with
-                        # the identical counter bumps and latency as
-                        # ``_fused_write_hit`` — expiry is
+                        # Inline SC write hit: a locally owned secondary
+                        # line never leaves the node, so the write retires
+                        # with the identical state change, counter bumps
+                        # and latency as ``protocol.write`` — expiry is
                         # observation-independent (see the read probe) and
                         # ``memiface.write`` consults no pending state on
                         # this path.
                         line = addr - addr % line_bytes
                         sindex = (line // line_bytes) % sec_sets
-                        if stags[sindex] == line and sstates[sindex] == 2:
+                        if (
+                            stags[sindex] == line
+                            and (state := write_next[sstates[sindex]]) is not None
+                        ):
+                            sstates[sindex] = state
                             sstats.hits += 1
-                            pstats_all.writes_total += 1
-                            pstats_all.writes_line_present += 1
+                            stats.writes_total += 1
+                            stats.writes_line_present += 1
                             pindex = (line // line_bytes) % pri_sets
                             if ptags[pindex] == line and pstates[pindex]:
                                 pstates[pindex] = 1  # refresh write-through copy
                             writes[_SECONDARY_HIT] = writes.get(_SECONDARY_HIT, 0) + 1
                             ready = time + lat_wos
-                            cycles[_SLOT_BUSY] += 1
-                            time += 1
-                            run += 1
-                            if ready > time:
-                                stall = ready - time
-                                if stall >= threshold:
-                                    run_lengths.append(run)
-                                    run = 0
-                                if not multi:
-                                    cycles[_SLOT_WRITE_STALL] += stall
-                                    time = ready
-                                elif stall < threshold:
-                                    cycles[_SLOT_NO_SWITCH] += stall
-                                    time = ready
-                                else:
-                                    self.time = time
-                                    self._current_run = run
-                                    ctx.block_until(ready, _WRITE_STALL, time)
-                            continue
-                    if trace is not None:
-                        trace.begin_op(ctx.process_id, ctx.ops_executed - 1)
-                    result = memiface.write(addr, time)
+                    if ready is None:
+                        if trace is not None:
+                            trace.begin_op(ctx.process_id, ctx.ops_executed - 1)
+                        ready = memiface.write(addr, time)[0]
                     cycles[_SLOT_BUSY] += 1
                     time += 1
                     run += 1
-                    ready = result[0]
                     if ready > time:
                         stall = ready - time
                         if stall >= threshold:

@@ -107,8 +107,9 @@ class Machine:
             self.sanitizer = CoherenceSanitizer(self).install()
 
         # Fault injection (off by default, and an empty plan installs
-        # nothing): installed after the sanitizer so the sanitizer sees
-        # the single real protocol transaction of each retried access.
+        # nothing): attached after the sanitizer, so it wraps the
+        # sanitizer, which sees the single real protocol transaction of
+        # each retried access.
         self.fault_injector = None
         if config.fault_plan is not None and not config.fault_plan.is_empty:
             from repro.faults.injector import FaultInjector

@@ -13,6 +13,12 @@ constraints.  Under release consistency this is semantically safe — RC
 explicitly allows writes to propagate early, and only the *release* fence
 (handled via :meth:`release_point`) constrains ordering.  Under SC the
 buffer is bypassed entirely and the processor stalls to completion.
+
+Every transaction goes through the protocol's entry points, which hold
+the cache-hit logic; observers attached to the protocol
+(:meth:`~repro.coherence.protocol.CoherenceProtocol.attach`) see each one
+there, and each ``read``/``write``/``prefetch`` here ends with their
+``after_access`` hook.
 """
 
 from __future__ import annotations
@@ -24,7 +30,6 @@ from typing import Deque, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.caches import MSHRTable, OutstandingMiss
 from repro.coherence import AccessClass, CoherenceProtocol
-from repro.coherence.table import ProtocolTableError
 from repro.config import MachineConfig
 from repro.consistency import ConsistencyPolicy
 from repro.sim.engine import TIME_INFINITY, EventEngine
@@ -136,44 +141,10 @@ class NodeMemoryInterface:
         self._wb_depth = config.write_buffer_depth
         self._max_wb = config.max_outstanding_writes
 
-        # Fused hit probe (see read/write): when the protocol's packed
-        # fast path is live, the hit checks run inline here — identical
-        # counters and latencies, minus two call frames per access.  The
-        # per-call gates disable it the moment anything wraps
-        # ``protocol.read``/``protocol.write`` (the sanitizer, the
-        # litmus recorder, and the fault injector all install instance
-        # attributes) or installs a memory-event trace, so every
-        # observer sees the classic path.  The aliased containers
-        # (``_fast_info``, the stats dicts) are mutated in place and
-        # never rebound.
-        self._pdict = protocol.__dict__
-        self._fuse = bool(getattr(protocol, "_fast", False))
-        if self._fuse:
-            self._finfo = protocol._fast_info
-            self._pri_sets = protocol._pri_sets
-            self._sec_sets = protocol._sec_sets
-            self._stats = protocol.stats
-            self._reads = protocol.stats.reads_by_class
-            self._writes = protocol.stats.writes_by_class
-            self._lat_rph = protocol._lat_read_primary_hit
-            self._lat_rfs = protocol._lat_read_fill_secondary
-            self._lat_wos = protocol._lat_write_owned_secondary
-            # Spec-derived hit-rule views (see CoherenceProtocol): the
-            # fused probes must serve exactly the states the active
-            # protocol calls hits (MESI adds E) with the rule's declared
-            # next state.
-            self._rhit_fills = protocol._read_hit_fills
-            self._rhit_rules = protocol._read_hit_rule_by_int
-            self._whit_rules = protocol._write_hit_by_int
-            self._whit_fills = protocol._write_hit_fills
-            self._whit_next = protocol._write_hit_next_by_int
-        else:
-            self._finfo = None
-            self._pri_sets = self._sec_sets = 0
-            self._stats = self._reads = self._writes = None
-            self._lat_rph = self._lat_rfs = self._lat_wos = 0
-            self._rhit_fills = self._rhit_rules = None
-            self._whit_rules = self._whit_fills = self._whit_next = None
+        #: The protocol's attached observers (mutated in place, never
+        #: rebound): while any is attached, each ``read``/``write``/
+        #: ``prefetch`` ends with every observer's ``after_access``.
+        self._observers = protocol._observers
 
         # Counters
         self.write_buffer_full_stall_cycles = 0
@@ -229,8 +200,8 @@ class NodeMemoryInterface:
 
     def read(self, addr: int, now: int) -> ReadResult:
         # Expiry only has work to do once the watermark is crossed; the
-        # compare keeps the dominant case (nothing matured, primary hit)
-        # free of the call entirely.
+        # compare keeps the dominant case (nothing matured) free of the
+        # call entirely.
         if now >= self._next_expiry:
             self._expire(now)
         misses = self._misses
@@ -249,9 +220,8 @@ class NodeMemoryInterface:
                     self.node, addr, now, ready, source="combine",
                     access_class=AccessClass.SECONDARY_HIT.value,
                 )
-            return _MK_READ((ready, AccessClass.SECONDARY_HIT, miss.is_prefetch))
-
-        if self._bypass and line in self._wb_lines:
+            result = _MK_READ((ready, AccessClass.SECONDARY_HIT, miss.is_prefetch))
+        elif self._bypass and line in self._wb_lines:
             # Same-line forward out of the write buffer: free.
             self.store_forwards += 1
             lat = self.config.latency.read_primary_hit
@@ -261,83 +231,36 @@ class NodeMemoryInterface:
                     access_class=AccessClass.PRIMARY_HIT.value,
                     rf_eid=self.trace.buffered_writer(self.node, line),
                 )
-            return _MK_READ((now + lat, AccessClass.PRIMARY_HIT, False))
-
-        if not self._cached:
+            result = _MK_READ((now + lat, AccessClass.PRIMARY_HIT, False))
+        elif not self._cached:
             outcome = self.protocol.read_uncached(self.node, addr, now)
             if self.trace is not None:
                 self.trace.record_read(
                     self.node, addr, now, outcome.retire, source="uncached",
                     access_class=outcome.access_class.value,
                 )
-            return _MK_READ((outcome.retire, outcome.access_class, False))
-
-        proto = self.protocol
-        if (
-            self._fuse
-            and self.trace is None
-            and proto.trace is None
-            and "read" not in self._pdict
-        ):
-            # Fused packed probe — bit-identical to protocol.read's
-            # fast path (same counter bumps, same latencies, same
-            # table-sanity raise); see the gate comment in __init__.
-            node = self.node
-            info = self._finfo[node]
-            word = line // self._line_bytes
-            index = word % self._pri_sets
-            if info[0][index] == line and info[1][index]:
-                info[2].hits += 1
-                reads = self._reads
-                reads[_PRIMARY_HIT] = reads.get(_PRIMARY_HIT, 0) + 1
-                return _MK_READ((now + self._lat_rph, _PRIMARY_HIT, False))
-            info[2].misses += 1
-            sindex = word % self._sec_sets
-            state = info[4][sindex] if info[3][sindex] == line else 0
-            if state:
-                info[5].hits += 1
-                if not self._rhit_fills[state]:
-                    rule = self._rhit_rules[state]
-                    raise ProtocolTableError(
-                        f"read-hit rule does not fill from cache: "
-                        f"{rule.describe()}"
-                    )
-                # Packed primary fill (``_install_primary`` inlined:
-                # write-through level, silent eviction, counter kept).
-                ptags = info[0]
-                pstates = info[1]
-                if pstates[index] and ptags[index] != line:
-                    info[2].evictions += 1
-                ptags[index] = line
-                pstates[index] = 1  # LineState.SHARED
-                reads = self._reads
-                reads[_SECONDARY_HIT] = reads.get(_SECONDARY_HIT, 0) + 1
-                return _MK_READ((now + self._lat_rfs, _SECONDARY_HIT, False))
-            info[5].misses += 1
-            outcome = proto._read_fill(node, line, now)
+            result = _MK_READ((outcome.retire, outcome.access_class, False))
+        else:
+            outcome = self.protocol.read(self.node, addr, now)
             retire = outcome[0]
             access_class = outcome[2]
-            reads = self._reads
-            reads[access_class] = reads.get(access_class, 0) + 1
-            # ``_track_miss`` inlined.  Its duplicate-line guard is
-            # dropped on purpose: ``misses.get(line)`` was None at the
-            # top of this call, and a fill adds no MSHR entry.
-            misses[line] = OutstandingMiss(line, False, now, retire, False)
-            heappush(self._expiry, (retire, line, False))
-            if retire < self._next_expiry:
-                self._next_expiry = retire
-            return _MK_READ((retire, access_class, False))
-        outcome = proto.read(self.node, addr, now)
-        retire = outcome[0]
-        access_class = outcome[2]
-        if access_class is not _PRIMARY_HIT and access_class is not _SECONDARY_HIT:
-            self._track_miss(OutstandingMiss(line, False, now, retire, False))
-        if self.trace is not None:
-            self.trace.record_read(
-                self.node, addr, now, retire, source="memory",
-                access_class=access_class.value,
-            )
-        return _MK_READ((retire, access_class, False))
+            if access_class is not _PRIMARY_HIT and access_class is not _SECONDARY_HIT:
+                # ``_track_miss`` inlined.  Its duplicate-line guard is
+                # dropped on purpose: ``misses.get(line)`` was None
+                # above, and the protocol adds no MSHR entry.
+                misses[line] = OutstandingMiss(line, False, now, retire, False)
+                heappush(self._expiry, (retire, line, False))
+                if retire < self._next_expiry:
+                    self._next_expiry = retire
+            if self.trace is not None:
+                self.trace.record_read(
+                    self.node, addr, now, retire, source="memory",
+                    access_class=access_class.value,
+                )
+            result = _MK_READ((retire, access_class, False))
+        if self._observers:
+            self._after_access()
+        return result
 
     # -- writes --------------------------------------------------------------
 
@@ -345,66 +268,18 @@ class NodeMemoryInterface:
         if now >= self._next_expiry:
             self._expire(now)
         if not self._cached:
-            return self._write_uncached(addr, now)
-        if self.policy.write_stalls_processor:
+            result = self._write_uncached(addr, now)
+        elif self.policy.write_stalls_processor:
             # SC: the processor stalls until the write completes with
             # respect to all processors — ownership plus invalidation
             # acknowledgements when other copies existed.
-            hit = self._fused_write_hit(addr, now)
-            if hit is not None:
-                return _MK_WRITE((hit, 0, _SECONDARY_HIT))
             outcome = self.protocol.write(self.node, addr, now)
-            return _MK_WRITE((outcome.complete, 0, outcome.access_class))
-        return self._write_buffered(
-            addr, now, self.protocol.write, fuse_hits=True
-        )
-
-    def _fused_write_hit(self, addr: int, now: int) -> Optional[int]:
-        """Inline secondary-owned write hit: the retire time, or None
-        when the line is not in a local write-hit state here — M, or E
-        under MESI — (or the fuse gate is closed).
-
-        Bit-identical to protocol.write's owned-hit fast path — same
-        counter bumps, same primary refresh, same table-sanity raise;
-        see the gate comment in __init__.  Counters are only touched
-        once the hit is established, so a ``None`` return leaves the
-        classic path's accounting untouched.
-        """
-        proto = self.protocol
-        if (
-            not self._fuse
-            or self.trace is not None
-            or proto.trace is not None
-            or "write" in self._pdict
-        ):
-            return None
-        line = addr - addr % self._line_bytes
-        info = self._finfo[self.node]
-        word = line // self._line_bytes
-        sindex = word % self._sec_sets
-        state = info[4][sindex] if info[3][sindex] == line else 0
-        rule = self._whit_rules.get(state)
-        if rule is None:
-            return None  # not a local write-hit state: classic path
-        if not self._whit_fills[state]:
-            raise ProtocolTableError(
-                "write-hit rule does not fill from cache: "
-                f"{rule.describe()}"
-            )
-        # MESI's silent upgrade: an E copy becomes M with no message
-        # (a no-op store for M itself).
-        info[4][sindex] = self._whit_next[state]
-        info[5].hits += 1
-        stats = self._stats
-        stats.writes_total += 1
-        stats.writes_line_present += 1
-        # Write-through primary: refresh the copy if present.
-        pindex = word % self._pri_sets
-        if info[0][pindex] == line and info[1][pindex]:
-            info[1][pindex] = 1  # LineState.SHARED
-        writes = self._writes
-        writes[_SECONDARY_HIT] = writes.get(_SECONDARY_HIT, 0) + 1
-        return now + self._lat_wos
+            result = _MK_WRITE((outcome.complete, 0, outcome.access_class))
+        else:
+            result = self._write_buffered(addr, now, self.protocol.write)
+        if self._observers:
+            self._after_access()
+        return result
 
     def _write_uncached(self, addr: int, now: int) -> WriteResult:
         if self.policy.write_stalls_processor:
@@ -412,9 +287,7 @@ class NodeMemoryInterface:
             return _MK_WRITE((outcome.complete, 0, outcome.access_class))
         return self._write_buffered(addr, now, self.protocol.write_uncached)
 
-    def _write_buffered(
-        self, addr: int, now: int, transact, fuse_hits: bool = False
-    ) -> WriteResult:
+    def _write_buffered(self, addr: int, now: int, transact) -> WriteResult:
         """RC path: enqueue in the write buffer, drain eagerly."""
         full_stall = 0
         if len(self._wb_retires) >= self._wb_depth:
@@ -431,24 +304,13 @@ class NodeMemoryInterface:
             self._wb_inflight.popleft()
 
         # Buffered writes drain on the background resource chain: DASH
-        # gives demand reads priority over the write buffer.  Owned
-        # hits never touch the network, so the fused probe applies
-        # unchanged at the buffered issue time.
-        hit = self._fused_write_hit(addr, issue) if fuse_hits else None
-        if hit is not None:
-            outcome_retire = hit
-            outcome_complete = hit
-            outcome_class = _SECONDARY_HIT
-        else:
-            outcome = transact(self.node, addr, issue, background=True)
-            outcome_retire = outcome.retire
-            outcome_complete = outcome.complete
-            outcome_class = outcome.access_class
-        retire = max(outcome_retire, self._wb_last_retire)
+        # gives demand reads priority over the write buffer.
+        outcome = transact(self.node, addr, issue, background=True)
+        retire = max(outcome.retire, self._wb_last_retire)
         self._wb_last_retire = retire
         self._wb_retires.append(retire)
         self._wb_inflight.append(retire)
-        complete = max(outcome_complete, retire)
+        complete = max(outcome.complete, retire)
         if complete > self._wb_last_complete:
             self._wb_last_complete = complete
         line = addr - addr % self._line_bytes
@@ -463,7 +325,7 @@ class NodeMemoryInterface:
             # The write just recorded by the protocol hook is now the
             # buffered entry same-line reads would forward from.
             self.trace.note_buffered_line(self.node, line)
-        return _MK_WRITE((now + 1, full_stall, outcome_class))
+        return _MK_WRITE((now + 1, full_stall, outcome.access_class))
 
     # -- releases -------------------------------------------------------------
 
@@ -494,6 +356,8 @@ class NodeMemoryInterface:
         if existing is not None and (existing.exclusive or not exclusive):
             # Already in flight with sufficient permission: drop.
             self.prefetches_discarded += 1
+            if self._observers:
+                self._after_access()
             return _MK_PREFETCH((full_stall, True))
 
         # The prefetch occupies a buffer slot until it issues; issues are
@@ -514,6 +378,8 @@ class NodeMemoryInterface:
         outcome = self.protocol.prefetch(self.node, addr, exclusive, issue)
         if outcome is None:
             self.prefetches_discarded += 1
+            if self._observers:
+                self._after_access()
             return _MK_PREFETCH((full_stall, True))
 
         self.prefetches_sent += 1
@@ -534,7 +400,13 @@ class NodeMemoryInterface:
         )
         # The returning fill locks the processor out of the primary cache.
         self.note_fill_arrival(outcome.retire)
+        if self._observers:
+            self._after_access()
         return _MK_PREFETCH((full_stall, False))
+
+    def _after_access(self) -> None:
+        for observer in self._observers:
+            observer.after_access(self)
 
     # -- fill lockout -------------------------------------------------------------
 

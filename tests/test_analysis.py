@@ -2,6 +2,9 @@
 executor, the op-stream linter, the race detector, and the coherence
 invariant sanitizer."""
 
+import cProfile
+import pstats
+
 import pytest
 
 from repro.analysis import (
@@ -14,6 +17,7 @@ from repro.analysis import (
     lint_ops,
     lint_program,
 )
+from repro.coherence import AccessClass, CoherenceProtocol, ProtocolObserver
 from repro.config import dash_scaled_config
 from repro.sim.engine import DeadlockError, SimulationError
 from repro.system import Machine
@@ -401,13 +405,39 @@ def _sharing_program(iterations=10):
     return Program("sharing", setup, factory)
 
 
+class _CorruptTenthWrite(ProtocolObserver):
+    """Calls ``corrupt(node, addr)`` right after the tenth write."""
+
+    def __init__(self, corrupt):
+        self.corrupt = corrupt
+        self.writes = 0
+
+    def around(self, kind, node, addr, time, issue, **kw):
+        outcome = issue(time)
+        if kind == "write":
+            self.writes += 1
+            if self.writes == 10:
+                self.corrupt(node, addr)
+        return outcome
+
+
 class TestCoherenceSanitizer:
     def test_clean_run_passes_checks(self):
         machine = _sanitized_machine()
         assert machine.sanitizer is not None
         machine.load(_sharing_program())
-        machine.run()
-        assert machine.sanitizer.checks_performed > 0
+        result = machine.run()
+        # One buffer check per memory-interface access, one line check
+        # per protocol transaction (every SC write, every read not
+        # combined or forwarded), and the end-of-run sweep.
+        accesses = result.shared_reads + result.shared_writes
+        bypassed = sum(
+            m.mshr.combines + m.store_forwards for m in machine.memifaces
+        )
+        sweep = 2 + len(machine.memifaces)
+        assert machine.sanitizer.checks_performed == (
+            accesses + (accesses - bypassed) + sweep
+        )
 
     def test_disabled_by_default(self):
         machine = Machine(dash_scaled_config(num_processors=2))
@@ -419,20 +449,16 @@ class TestCoherenceSanitizer:
         machine = _sanitized_machine()
         machine.load(_sharing_program())
         protocol = machine.protocol
-        wrapped_write = protocol.write
-        count = [0]
 
-        def corrupting_write(node, addr, time, **kwargs):
-            outcome = wrapped_write(node, addr, time, **kwargs)
-            count[0] += 1
-            if count[0] == 10:
-                line = protocol.line_of(addr)
-                home = protocol.home_of(line)
-                entry = protocol.directories[home].entry(line)
-                entry.state = DirState.SHARED  # really dirty at owner
-            return outcome
+        def corrupt(node, addr):
+            line = protocol.line_of(addr)
+            home = protocol.home_of(line)
+            entry = protocol.directories[home].entry(line)
+            entry.state = DirState.SHARED  # really dirty at owner
 
-        protocol.write = corrupting_write
+        # Attached after the sanitizer, so it wraps the sanitizer and
+        # corrupts state the sanitizer has already checked.
+        protocol.attach(_CorruptTenthWrite(corrupt))
         with pytest.raises(SimulationError) as excinfo:
             machine.run()
         message = str(excinfo.value)
@@ -447,22 +473,14 @@ class TestCoherenceSanitizer:
         machine = _sanitized_machine()
         machine.load(_sharing_program())
         protocol = machine.protocol
-        wrapped_write = protocol.write
-        count = [0]
 
-        def corrupting_write(node, addr, time, **kwargs):
-            outcome = wrapped_write(node, addr, time, **kwargs)
-            count[0] += 1
-            if count[0] == 10:
-                # Force a second dirty copy into another node's cache.
-                line = protocol.line_of(addr)
-                other = (node + 1) % len(protocol.caches)
-                protocol.caches[other].secondary.insert(
-                    line, LineState.DIRTY
-                )
-            return outcome
+        def corrupt(node, addr):
+            # Force a second dirty copy into another node's cache.
+            line = protocol.line_of(addr)
+            other = (node + 1) % len(protocol.caches)
+            protocol.caches[other].secondary.insert(line, LineState.DIRTY)
 
-        protocol.write = corrupting_write
+        protocol.attach(_CorruptTenthWrite(corrupt))
         with pytest.raises(SimulationError, match="SWMR|imprecise"):
             machine.run()
 
@@ -478,11 +496,37 @@ class TestCoherenceSanitizer:
 
     def test_uninstall_restores_methods(self):
         machine = _sanitized_machine(num_processors=2)
-        wrapped = machine.protocol.read
-        machine.sanitizer.uninstall()
-        assert machine.protocol.read is not wrapped
-        machine.load(_sharing_program(iterations=4))
-        machine.run()  # runs clean without instrumentation
+        machine.sanitizer.detach()
+        assert machine.protocol._observers == []
+
+        def rereads(region, env):
+            def thread():
+                for i in range(40):
+                    yield O.read(region.addr((i * 16) % 64))
+
+            return thread()
+
+        machine.load(Program(
+            "rereads",
+            lambda allocator, n: allocator.alloc_round_robin("shared", 256),
+            rereads,
+        ))
+        profiler = cProfile.Profile()
+        result = profiler.runcall(machine.run)  # runs clean, unobserved
+        # Only the end-of-run sweep ran: one machine check, one buffer
+        # check per node and one counter check.
+        assert machine.sanitizer.checks_performed == 2 + 2
+        # The fast path: the processors served primary hits inline, so
+        # fewer reads reached ``protocol.read`` than the protocol counted.
+        code = CoherenceProtocol.read.__code__
+        calls = sum(
+            row[1]
+            for (filename, line, name), row in pstats.Stats(profiler).stats.items()
+            if (filename, line, name) == (code.co_filename, code.co_firstlineno, "read")
+        )
+        counted = sum(result.protocol.reads_by_class.values())
+        assert result.protocol.reads_by_class[AccessClass.PRIMARY_HIT] > 0
+        assert 0 < calls < counted
 
     def test_sanitized_and_plain_runs_agree_on_timing(self):
         plain = Machine(dash_scaled_config(num_processors=4))

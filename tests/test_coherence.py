@@ -10,6 +10,7 @@ from repro.coherence import (
     Directory,
     DirState,
     NodeCaches,
+    ProtocolObserver,
 )
 from repro.coherence.specs import get_spec, spec_names
 from repro.coherence.table import Action, ProtocolTableError, ProtoEvent
@@ -292,6 +293,43 @@ class TestUncached:
         line = protocol.line_of(addr)
         assert protocol.caches[0].secondary.probe(line) == LineState.INVALID
         assert protocol.directories[0].entry(line).state == DirState.UNOWNED
+
+
+class TestObservers:
+    def test_attach_order_is_nesting_order(self):
+        protocol, regions = make_protocol()
+        calls = []
+
+        class Tag(ProtocolObserver):
+            def __init__(self, name, shift):
+                self.name = name
+                self.shift = shift
+
+            def around(self, kind, node, addr, time, issue, **kw):
+                calls.append((self.name, kind, time, kw))
+                return issue(time + self.shift)
+
+        inner, outer = Tag("inner", 0), Tag("outer", 5)
+        protocol.attach(inner)
+        protocol.attach(outer)
+        addr = regions[0].addr(0)
+        outcome = protocol.write(0, addr, 10, background=True)
+        protocol.prefetch(0, regions[1].addr(0), exclusive=True, time=20)
+        assert calls == [
+            ("outer", "write", 10, {"background": True}),
+            ("inner", "write", 15, {"background": True}),
+            ("outer", "prefetch", 20, {"exclusive": True}),
+            ("inner", "prefetch", 25, {"exclusive": True}),
+        ]
+        # The outer shift reached the transaction itself.
+        lat = protocol.config.latency
+        assert outcome.retire == 15 + lat.write_owned_local
+        protocol.detach(outer)
+        protocol.detach(inner)
+        assert protocol._observers == []
+        calls.clear()
+        protocol.read(0, addr, 30)
+        assert calls == []
 
 
 @settings(max_examples=40, deadline=None)

@@ -241,6 +241,27 @@ class TestTermination:
 class TestContinuation:
     """The processor resumes one suspended ``_loop`` frame per event."""
 
+    def test_write_hit_rule_without_fill_raises_through_the_probe(self):
+        from repro.coherence.table import ProtocolTableError
+
+        def body(world, env):
+            addr = world["regions"][env.process_id].addr(0)
+            yield (O.WRITE, addr)  # miss: the line becomes DIRTY
+            yield (O.WRITE, addr)  # owned hit: the inline SC probe's case
+
+        config = dash_scaled_config(
+            num_processors=1, contention=ContentionConfig(enabled=False)
+        )
+        machine = Machine(config)
+        machine.load(Program("rewrite", lambda allocator, n: {
+            "regions": [allocator.alloc_local("r0", 8192, 0)],
+        }, body))
+        # A table whose M write hit does not fill from cache: the probe
+        # must not serve it, and ``protocol.write`` must raise.
+        machine.protocol._write_hit_fills[2] = False
+        with pytest.raises(ProtocolTableError, match="does not fill from cache"):
+            machine.run()
+
     @staticmethod
     def _holder(world, env):
         lock = world["shared"].addr(0)
@@ -297,39 +318,67 @@ class TestContinuation:
         assert result.execution_time == 919
 
     def test_read_wrapper_installed_before_run_reroutes_every_read(self):
-        def body(world, env):
-            base = world["regions"][env.process_id].addr(0)
-            for i in range(50):
-                # Mostly primary hits: the processor's inline probe
-                # would serve them without calling protocol.read.
-                yield (O.READ, base + (i % 4) * 16)
-                yield (O.BUSY, 3)
+        # Differential: a pass-through observer attached before the run
+        # switches the processors' inline probes off, so every read that
+        # reaches the protocol goes through ``protocol.read`` — and the
+        # run must be bit-identical to the inline-probe (fast path) run.
+        from repro.coherence import ProtocolObserver
+        from repro.experiments.registry import SMOKE_PROCESSES, build_app
+        from repro.experiments.resultcache import canonical_result_bytes
 
-        def build():
-            config = dash_scaled_config(
-                num_processors=2, contention=ContentionConfig(enabled=False)
-            )
+        class PassThrough(ProtocolObserver):
+            def __init__(self):
+                self.kinds = []
+
+            def around(self, kind, node, addr, time, issue, **kw):
+                self.kinds.append(kind)
+                return issue(time)
+
+        def cache_counters(machine):
+            return [
+                (
+                    c.hits, c.misses, c.evictions, c.invalidations_received,
+                    sorted(c.resident_lines()),
+                )
+                for nc in machine.caches
+                for c in (nc.primary, nc.secondary)
+            ]
+
+        def run(config, app, observer=None):
             machine = Machine(config)
-            machine.load(Program("reads", lambda allocator, n: {
-                "regions": [
-                    allocator.alloc_local(f"r{i}", 8192, i) for i in range(n)
-                ],
-            }, body))
-            return machine
+            if observer is not None:
+                machine.protocol.attach(observer)
+            machine.load(build_app(app, "smoke"))
+            return machine, machine.run()
 
-        plain = build().run()
-        machine = build()
-        calls = []
-        original = machine.protocol.read
-
-        def counting_read(node, addr, now):
-            calls.append(node)
-            return original(node, addr, now)
-
-        machine.protocol.read = counting_read
-        result = machine.run()
-        reads = sum(p.shared_reads for p in machine.processors)
-        assert reads == 100
-        assert len(calls) == reads
-        assert result.execution_time == plain.execution_time
-        assert result.per_processor == plain.per_processor
+        for protocol in ("directory-msi", "mesi"):
+            for consistency in (Consistency.SC, Consistency.RC):
+                for app in ("LU", "MP3D"):
+                    config = dash_scaled_config(
+                        num_processors=SMOKE_PROCESSES,
+                        protocol=protocol,
+                        consistency=consistency,
+                    )
+                    plain_machine, plain = run(config, app)
+                    observer = PassThrough()
+                    machine, result = run(config, app, observer)
+                    where = (protocol, consistency.name, app)
+                    assert canonical_result_bytes(result) == (
+                        canonical_result_bytes(plain)
+                    ), where
+                    assert result.protocol == plain.protocol, where
+                    # Counters and final contents (with line states).
+                    assert cache_counters(machine) == (
+                        cache_counters(plain_machine)
+                    ), where
+                    # One observed ``read`` per shared read that reached
+                    # the protocol: every one not combined with an
+                    # in-flight miss or forwarded from the write buffer.
+                    reached = result.shared_reads - sum(
+                        m.mshr.combines + m.store_forwards
+                        for m in machine.memifaces
+                    )
+                    assert observer.kinds.count("read") == reached, where
+                    assert reached == sum(
+                        plain.protocol.reads_by_class.values()
+                    ), where
