@@ -139,11 +139,17 @@ def test_strict_flag_accepted_with_lint(capsys):
 # -- trace conformance and layout lint ----------------------------------------
 
 
+def _choices(flag):
+    from repro.cli import build_parser
+
+    (action,) = [a for a in build_parser()._actions if flag in a.option_strings]
+    return tuple(action.choices)
+
+
 def test_trace_mutate_choices_match_tracecheck():
     from repro.analysis.tracecheck import MUTATION_NAMES
-    from repro.cli import _TRACE_MUTATIONS
 
-    assert _TRACE_MUTATIONS == MUTATION_NAMES
+    assert _choices("--trace-mutate") == MUTATION_NAMES
 
 
 def test_trace_mutate_prints_witness_and_fails(capsys):
@@ -209,9 +215,8 @@ def test_proto_lint_flag_passes_and_prints_summary(capsys):
 
 def test_proto_mutate_choices_match_protolint():
     from repro.analysis.protolint import PROTO_MUTATIONS
-    from repro.cli import _PROTO_MUTATIONS
 
-    assert _PROTO_MUTATIONS == PROTO_MUTATIONS
+    assert _choices("--proto-mutate") == PROTO_MUTATIONS
 
 
 def test_proto_mutate_prints_witness_and_fails(capsys):
@@ -317,9 +322,8 @@ def test_diff_mutate_is_refuted_with_witness(capsys):
 
 def test_diff_mutate_choices_match_protodiff():
     from repro.analysis.protodiff import DIFF_MUTATIONS
-    from repro.cli import _DIFF_MUTATIONS
 
-    assert _DIFF_MUTATIONS == DIFF_MUTATIONS
+    assert _choices("--diff-mutate") == DIFF_MUTATIONS
 
 
 def test_select_checks_proto_matrix_and_diff_flags():
@@ -338,26 +342,28 @@ def test_select_checks_proto_matrix_and_diff_flags():
 
 
 def _check_args(**overrides):
-    import argparse
+    from repro.cli import build_parser
 
-    defaults = dict(
-        faults="none", model_check=False, lock_order=False, lint_src=False,
-        proto_lint=False, proto_mutate=None, proto_matrix=False,
-        proto_diff=None, diff_mutate=None, trace_check=False,
-        trace_mutate=None, layout_lint=False, chaos=False, all_checks=False,
-        checks=None, lat_bound=False, lat_audit=False, lat_mutate=None,
-    )
-    defaults.update(overrides)
-    return argparse.Namespace(**defaults)
+    args = build_parser().parse_args(["check"])
+    for dest, value in overrides.items():
+        assert hasattr(args, dest), dest
+        setattr(args, dest, value)
+    return args
+
+
+def _check_names():
+    from repro.cli import CHECKS
+
+    return [check.name for check in CHECKS]
 
 
 def test_list_checks_names_every_check_and_defaults(capsys):
-    from repro.cli import _CHECKS, _DEFAULT_CHECKS
+    from repro.cli import _DEFAULT_CHECKS
 
     status = main(["check", "--list-checks"])
     out = capsys.readouterr().out
     assert status == 0
-    for name in _CHECKS:
+    for name in _check_names():
         assert name in out
     assert "checks marked * run by default" in out
     # Default markers line up with the documented default subset.
@@ -369,27 +375,29 @@ def test_list_checks_names_every_check_and_defaults(capsys):
 
 
 def test_list_checks_prints_flags_and_default_membership(capsys):
-    from repro.cli import _CHECK_FLAGS, _CHECKS, _DEFAULT_CHECKS
+    from repro.cli import _DEFAULT_CHECKS, CHECKS
 
     main(["check", "--list-checks"])
     out = capsys.readouterr().out
-    # Every check's dedicated flags appear; flagless checks point at
+    # Every check's own options appear; optionless checks point at
     # --checks <name>; membership lines match the default subset.
-    for name in _CHECKS:
-        flags = _CHECK_FLAGS[name]
-        if flags:
-            for flag in flags:
+    for check in CHECKS:
+        if check.options:
+            for flag, _ in check.options:
                 assert flag in out
         else:
-            assert f"--checks {name}" in out
+            assert f"--checks {check.name}" in out
     assert out.count("default: yes") == len(_DEFAULT_CHECKS)
-    assert out.count("default: no") == len(_CHECKS) - len(_DEFAULT_CHECKS)
+    assert out.count("default: no") == len(CHECKS) - len(_DEFAULT_CHECKS)
 
 
 def test_check_flags_table_covers_every_check():
-    from repro.cli import _CHECK_FLAGS, _CHECKS
+    from repro.cli import CHECKS
 
-    assert set(_CHECK_FLAGS) == set(_CHECKS)
+    names = _check_names()
+    assert len(set(names)) == len(names)
+    # Only default checks may go without an option of their own.
+    assert all(check.options for check in CHECKS if not check.default)
 
 
 def test_select_checks_lat_flags_select_latbound():
@@ -409,10 +417,10 @@ def test_select_checks_default_is_documented_subset():
 
 
 def test_select_checks_all_runs_everything_once():
-    from repro.cli import _CHECKS, select_checks
+    from repro.cli import select_checks
 
     checks = select_checks(_check_args(all_checks=True, proto_lint=True))
-    assert checks == list(_CHECKS)  # dedicated flag deduped, order kept
+    assert checks == _check_names()  # dedicated flag deduped, order kept
 
 
 def test_select_checks_dedicated_flags_are_exclusive():
@@ -429,3 +437,171 @@ def test_select_checks_explicit_list_merges_flags():
 
     checks = select_checks(_check_args(checks="lint,litmus", proto_lint=True))
     assert checks == ["lint", "litmus", "protolint"]
+
+
+# -- the check registry ---------------------------------------------------------
+
+#: ``check --list-checks`` as printed before the registry rewrite: the
+#: registry must render it byte for byte.
+_LIST_CHECKS_GOLDEN = """\
+available checks (run order):
+  * lint        structural lint of each app's op streams (op shape, sync pairing)
+    default: yes; flags: --checks lint
+  * races       happens-before data-race detection over the op streams
+    default: yes; flags: --checks races
+  * litmus      consistency litmus matrix through the full machine
+    default: yes; flags: --checks litmus
+  * invariants  sanitized smoke simulation (SWMR, inclusion, precision)
+    default: yes; flags: --checks invariants
+    faults      smoke apps under seeded message faults, sanitizer armed
+    default: no; flags: --faults
+    model       exhaustive model check of the abstract directory protocol
+    default: no; flags: --model-check, --mc-mutate, --mc-fingerprint
+    lockorder   static lock-order deadlock and barrier analysis
+    default: no; flags: --lock-order
+    srclint     determinism + hot-path lint over the simulator source
+    default: no; flags: --lint-src
+    protolint   static completeness/determinism/liveness check of the declarative protocol transition table
+    default: no; flags: --proto-lint, --proto-mutate, --proto-fingerprint
+    protomatrix model check + protolint over every registered protocol spec (directory-msi, mesi, moesi)
+    default: no; flags: --proto-matrix, --proto-matrix-fingerprints
+    protodiff   differential protocol equivalence: product-compose two specs' reachable models and prove (or refute with a minimal witness) observational equivalence
+    default: no; flags: --proto-diff, --diff-mutate
+    latbound    static per-transaction latency envelopes derived from the protocol table, with optional trace audit
+    default: no; flags: --lat-bound, --lat-audit, --lat-mutate, --lat-fingerprint
+    trace       axiomatic trace conformance (litmus matrix + smoke runs)
+    default: no; flags: --trace-check, --trace-mutate
+    layout      static memory-layout lint of the bundled apps
+    default: no; flags: --layout-lint
+    chaos       crash-tolerance drill: SIGKILL pool workers mid-sweep, corrupt the journal tail, resume, verify bit-identity
+    default: no; flags: --chaos
+checks marked * run by default; --all runs every check; --checks a,b or a dedicated flag runs just those
+"""
+
+
+def test_list_checks_matches_golden(capsys):
+    assert main(["check", "--list-checks"]) == 0
+    assert capsys.readouterr().out == _LIST_CHECKS_GOLDEN
+
+
+def _mutations():
+    from repro.cli import CHECKS
+
+    return [
+        (check.name, flag, mutation)
+        for check in CHECKS
+        for flag, spec in check.options
+        if flag.endswith("-mutate")
+        for mutation in spec["choices"]
+    ]
+
+
+@pytest.mark.parametrize("check,flag,mutation", _mutations())
+def test_every_seeded_mutation_fails_its_check(check, flag, mutation, capsys):
+    assert main(["check", flag, mutation]) == 1
+    assert f"check: FAILED ({check})" in capsys.readouterr().out
+
+
+def test_mutation_cases_cover_every_analyzer():
+    assert len(_mutations()) == 13
+    assert {check for check, _, _ in _mutations()} == {
+        "model", "protolint", "protodiff", "latbound", "trace",
+    }
+
+
+#: Options ``check`` never reads: artifact/sweep settings and the
+#: selection flags themselves.
+_NON_CHECK_OPTIONS = {
+    "-h", "--help", "--scale", "--jobs", "--cache-dir", "--targets",
+    "--resume", "--journal-dir", "--hang-timeout", "--checks", "--all",
+    "--list-checks",
+}
+
+
+def test_every_check_option_is_owned_once_or_shared():
+    from repro.cli import _SHARED_OPTIONS, CHECKS, build_parser
+
+    owned = [flag for check in CHECKS for flag, _ in check.options]
+    shared = [flag for flag, _ in _SHARED_OPTIONS]
+    assert len(set(owned)) == len(owned)
+    assert not set(owned) & set(shared)
+    flags = {
+        flag for action in build_parser()._actions
+        for flag in action.option_strings
+    }
+    assert flags - _NON_CHECK_OPTIONS == set(owned) | set(shared)
+    assert len(flags) == 43  # 41 options plus -h and --help
+
+
+@pytest.mark.parametrize("dest,value,check", [
+    ("mc_mutate", "skip-invalidation", "model"),
+    ("mc_fingerprint", "model.fp", "model"),
+    ("proto_fingerprint", "proto.fp", "protolint"),
+    ("proto_matrix_fingerprints", "matrix", "protomatrix"),
+    ("lat_fingerprint", "latbound.fp", "latbound"),
+])
+def test_select_checks_owned_option_selects_its_check(dest, value, check):
+    from repro.cli import select_checks
+
+    assert select_checks(_check_args(**{dest: value})) == [check]
+
+
+def test_shared_options_select_nothing():
+    from repro.cli import _DEFAULT_CHECKS, select_checks
+
+    args = _check_args(
+        app="LU", strict=True, verbose=True, seed=7, max_events=100,
+        mc_caches=3, mc_lines=2, mc_values=3, mc_in_flight=3, mc_retries=1,
+    )
+    assert select_checks(args) == list(_DEFAULT_CHECKS)
+
+
+def test_mc_mutate_alone_runs_the_model_check(capsys):
+    assert main(["check", "--mc-mutate", "skip-invalidation"]) == 1
+    out = capsys.readouterr().out
+    assert "counterexample" in out
+    assert "[litmus]" not in out
+    assert "check: FAILED (model)" in out
+
+
+def test_lat_fingerprint_alone_writes_the_cache(tmp_path, capsys):
+    fp = tmp_path / "latbound.fingerprint"
+    assert main(["check", "--lat-fingerprint", str(fp)]) == 0
+    assert "envelope fingerprint cached" in capsys.readouterr().out
+    assert fp.read_text().strip()
+
+
+def test_lint_and_races_share_one_executor_pass(capsys):
+    assert main(["check", "--app", "LU", "--checks", "lint,races"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("[LU] ") == 1  # one header, both reports under it
+    assert "race" in out.split("[LU] ", 1)[1]
+
+
+@pytest.mark.parametrize("argv,cache,prefix,what", [
+    (["--model-check", "--mc-fingerprint"], "m.fp", "[model] fingerprint",
+     "the reachable state space changed; review the protocol diff"),
+    (["--proto-lint", "--proto-fingerprint"], "p.fp",
+     "[protolint] table fingerprint",
+     "the transition table changed; review the diff"),
+    (["--proto-matrix-fingerprints"], "mesi.fp",
+     "[protomatrix] mesi: fingerprint",
+     "the spec or its reachable state space changed; review the diff"),
+    (["--lat-fingerprint"], "l.fp", "[latbound] envelope fingerprint",
+     "the latency model changed; review the diff"),
+], ids=["model", "protolint", "protomatrix", "latbound"])
+def test_fingerprint_mismatch_line_names_what_changed(
+    tmp_path, capsys, argv, cache, prefix, what
+):
+    import re
+
+    path = tmp_path / cache
+    path.write_text("0" * 64 + "\n")
+    target = tmp_path if cache == "mesi.fp" else path
+    assert main(["check", *argv, str(target)]) == 1
+    expected = (
+        re.escape(prefix)
+        + r" MISMATCH: cached 0{16} != computed [0-9a-f]{16} — "
+        + re.escape(f"{what} and delete {path} to accept")
+    )
+    assert re.search(expected, capsys.readouterr().out)
